@@ -6,11 +6,15 @@
 //! [`CpuEngine`] (and one graph) can interleave freely. The monolithic
 //! [`CpuEngine::run`] is now a thin convenience over one session driven
 //! to completion.
+//!
+//! Every walker carries its own RNG stream, a pure function of the engine
+//! seed and its query index (DESIGN.md §5), so the engine samples the
+//! reference engine's walks exactly at any thread count and under any
+//! advance schedule.
 
 use std::time::{Duration, Instant};
 
 use lightrw_graph::Graph;
-use lightrw_rng::splitmix::mix64;
 use lightrw_walker::engine::{BatchProgress, InOrderEmitter, WalkEngine, WalkSession, WalkSink};
 use lightrw_walker::program::WalkProgram;
 use lightrw_walker::{QuerySet, SamplerKind, WalkApp, WalkResults};
@@ -27,7 +31,7 @@ pub struct BaselineConfig {
     /// Per-step weighted sampling method. The paper configures ThunderRW
     /// with inverse transformation sampling (§6.1.4).
     pub sampler: SamplerKind,
-    /// Base RNG seed (each thread derives its own stream).
+    /// Engine RNG seed (each query derives its own stream from it).
     pub seed: u64,
 }
 
@@ -141,8 +145,7 @@ impl WalkEngine for CpuEngine<'_> {
 pub const MIN_STEPS_PER_LANE: u64 = 16_384;
 
 /// A batched session of the CPU engine: queries are split into contiguous
-/// per-worker lanes by a [`LanePlan`] with exactly the monolithic run's
-/// boundaries and derived per-lane seeds, and every
+/// per-worker lanes by a [`LanePlan`], and every
 /// [`WalkSession::advance`] gives each [`WorkerLane`] up to `max_steps`
 /// Gather–Move–Update visits — executed on scoped threads (each pinned
 /// best-effort to a stable core) when more than one lane still has work.
@@ -170,12 +173,13 @@ impl<'s> CpuSession<'s> {
         // Hoisted out of the workers: one degree scan sizes every worker's
         // sampler/bitset scratch for the whole session.
         let max_degree = engine.graph.max_degree() as usize;
+        let (sampler, seed) = (engine.cfg.sampler, engine.cfg.seed);
         let lanes = qs
             .chunks(plan.lane_len)
             .enumerate()
-            .map(|(t, lane_qs)| {
-                let seed = mix64(engine.cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                WorkerLane::new(lane_qs, engine.app, engine.cfg.sampler, seed, max_degree)
+            .map(|(t, chunk)| {
+                let first = t * plan.lane_len;
+                WorkerLane::new(chunk, first, engine.app, sampler, seed, max_degree)
             })
             .collect();
         Self {
@@ -209,8 +213,7 @@ impl WalkSession for CpuSession<'_> {
         // costs more than it buys when a batch hands each lane only a
         // few thousand steps (the threads=2 regression on small quick
         // runs). Below the threshold the lanes run inline sequentially —
-        // per-lane stepper seeding makes the sampled walks identical
-        // either way.
+        // per-walker streams make the sampled walks identical either way.
         let per_lane_cap = self
             .lanes
             .iter()
@@ -379,12 +382,7 @@ mod tests {
             "small batch should not reach the spawn path"
         );
         let (single, _) = CpuEngine::new(&g, &Uniform, one_thread()).run(&qs);
-        // Lane seeds derive from lane boundaries, not the execution
-        // mode, but thread-count changes lane boundaries; only compare
-        // against a 2-thread run driven through the same plan.
-        let (reference, _) = engine.run(&qs);
-        assert_eq!(results, reference);
-        assert_eq!(results.len(), single.len());
+        assert_eq!(results, single);
     }
 
     #[test]

@@ -5,23 +5,26 @@
 //! [`WalkerRing`] and advances them with the paper's step-centric
 //! Gather–Move–Update cycle (DESIGN.md §9):
 //!
-//! - **Gather** — fix the ring's current walker and software-prefetch the
-//!   *following* walker's CSR row ([`prefetch_row`], distance 1), so its
-//!   adjacency travels toward cache while the current walker samples.
+//! - **Gather** — fix the ring's current walker, import its RNG stream
+//!   into the lane's stepper, and software-prefetch the *following*
+//!   walker's CSR row ([`prefetch_row`], distance 1), so its adjacency
+//!   travels toward cache while the current walker samples.
 //! - **Move** — one turn of the shared [`WalkProgram`] state machine,
 //!   which resolves the current row and draws through the fused
 //!   [`HotStepper`] fast paths.
-//! - **Update** — write back walker state, append the emitted vertex, and
-//!   retire or keep the walker in the ring.
+//! - **Update** — write back walker state and its exported stream, append
+//!   the emitted vertex, and retire or keep the walker in the ring.
 //!
-//! The visit order is exactly the pre-lane engine's cursor +
-//! `swap_remove` sweep (the ring replays it; tests/engine_agreement.rs
-//! pins bit-identity), so the lane refactor changes memory behaviour,
-//! never sampled walks.
+//! Every walker starts on its [`query_stream`], keyed by the global query
+//! index, and carries the stream from visit to visit. A walk is therefore
+//! the reference engine's walk for that query, whatever the lane
+//! boundaries, thread count, visit order or advance schedule.
 
 use lightrw_graph::{Graph, VertexId};
 use lightrw_walker::program::{StepOutcome, WalkProgram, WalkState};
-use lightrw_walker::{prefetch_row, HotStepper, Query, SamplerKind, WalkApp, WalkerRing};
+use lightrw_walker::{
+    prefetch_row, query_stream, HotStepper, Query, SamplerKind, SamplerStream, WalkApp, WalkerRing,
+};
 
 /// How a session maps queries onto worker lanes.
 ///
@@ -66,17 +69,20 @@ impl LanePlan {
 }
 
 /// One worker's walkers in structure-of-arrays layout: the ring sweep
-/// touches `cur`/`prev`/`step` for every active walker, so dense parallel
-/// arrays (instead of an array of structs with inline path buffers) keep
-/// the sweep's working set to a few cache lines per walker. Each lane owns
-/// its stepper (seeded per lane, so thread interleaving never changes
-/// sampled walks) and its ring, which lets a session pause mid-sweep and
-/// resume exactly where it stopped.
+/// touches `cur`/`prev`/`stream` for every active walker, so dense
+/// parallel arrays (instead of an array of structs with inline path
+/// buffers) keep the sweep's working set to a few cache lines per walker.
+/// Each lane owns its stepper (built from the engine seed; walkers bring
+/// their own streams) and its ring, which lets a session pause mid-sweep
+/// and resume exactly where it stopped.
 pub struct WorkerLane {
     stepper: HotStepper,
     queries: Vec<Query>,
     cur: Vec<VertexId>,
     prev: Vec<Option<VertexId>>,
+    /// Each walker's RNG stream position, imported before every visit and
+    /// exported after it.
+    stream: Vec<SamplerStream>,
     /// Step budget consumed per walker (moves + teleports).
     taken: Vec<u32>,
     /// Step index within the current restart segment (resets on teleport)
@@ -91,9 +97,11 @@ pub struct WorkerLane {
 }
 
 impl WorkerLane {
-    /// Build a lane over `qs`, with scratch sized for `max_degree`.
+    /// Build a lane over `qs`, whose first query has global index
+    /// `first`, with scratch sized for `max_degree`.
     pub fn new(
         qs: &[Query],
+        first: usize,
         app: &dyn WalkApp,
         sampler: SamplerKind,
         seed: u64,
@@ -105,6 +113,9 @@ impl WorkerLane {
             stepper,
             cur: qs.iter().map(|q| q.start).collect(),
             prev: vec![None; qs.len()],
+            stream: (first..first + qs.len())
+                .map(|qi| query_stream(sampler, seed, qi))
+                .collect(),
             taken: vec![0; qs.len()],
             seg: vec![0; qs.len()],
             paths: qs
@@ -160,8 +171,10 @@ impl WorkerLane {
                 taken: self.taken[qi],
                 seg: self.seg[qi],
             };
+            self.stepper.import_stream(&self.stream[qi]);
             let outcome = program.step_attempt(g, app, &mut self.stepper, &q, &mut st);
             // Update: write back, append, retire or keep.
+            self.stream[qi] = self.stepper.export_stream();
             self.cur[qi] = st.cur;
             self.prev[qi] = st.prev;
             self.taken[qi] = st.taken;
@@ -251,7 +264,7 @@ mod tests {
     #[test]
     fn lane_boundaries_match_the_chunking_formula() {
         // The plan must reproduce `qs.chunks(lane_len)` exactly — the
-        // session's seed derivation depends on these boundaries.
+        // session maps global query ids to (lane, slot) through it.
         for (threads, n) in [(1, 10), (3, 10), (4, 9), (7, 7), (2, 1)] {
             let plan = LanePlan::plan(threads, n);
             assert_eq!(plan.lane_len, n.div_ceil(threads).max(1));

@@ -53,8 +53,9 @@
 //! state lives in a per-session [`CpuSession`] (so sessions are
 //! re-entrant and interleave on one graph), batches execute up to
 //! `max_steps` visits per worker on scoped threads, and finished paths
-//! stream out in query-id order — bit-identical to [`CpuEngine::run`]
-//! for every batch schedule.
+//! stream out in query-id order. Each walker carries its own RNG stream
+//! (DESIGN.md §5), so the walks equal [`CpuEngine::run`] and the
+//! reference engine's for every batch schedule and thread count.
 
 pub mod affinity;
 pub mod engine;
@@ -62,7 +63,6 @@ pub mod lanes;
 pub mod llc;
 pub mod profile;
 pub mod signal;
-pub mod thread_clock;
 
 pub use engine::{BaselineConfig, BaselineRunStats, CpuEngine, CpuSession};
 pub use lanes::{LanePlan, WorkerLane};

@@ -50,16 +50,15 @@
 //!
 //! The same file also carries the `shard_scale` scenario (DESIGN.md
 //! §11–§12): the partitioned engine on rmat-12 under Node2Vec, one row
-//! per (K, strategy, threads) — sequential interleaves for K ∈
-//! {1, 2, 4}, pinned parallel executors (`threads = K`) for the range
-//! and walk-aware partitions — recording wall `steps_per_sec` *and*
-//! `model_steps_per_sec` (modelled transfer + straggler-executor
-//! compute, the number that stays meaningful when CI has fewer cores
-//! than executors), measured vs expected crossing rate, hand-off counts
-//! and modelled transfer cost, next to an unsharded reference row. Every
-//! parallel run is asserted bit-identical to its sequential interleave
-//! in-bench. A `compression` section records the packed-file shrink of
-//! the varint neighbor-list encoding.
+//! per (K, strategy, threads) — one executor on the calling thread for
+//! K ∈ {1, 2, 4}, pinned parallel executors (`threads = K`) for the
+//! range and walk-aware partitions — recording measured columns only:
+//! wall `steps_per_sec`, measured vs expected crossing rate, hand-off,
+//! flush and hand-off record byte counts, next to an unsharded
+//! `ReferenceEngine` row that walks the same paths. Every parallel run
+//! is asserted bit-identical to the reference engine in-bench. A
+//! `compression` section records the packed-file shrink of the varint
+//! neighbor-list encoding.
 //!
 //! A fifth file, `BENCH_serve_latency.json` (`--out-serve PATH`,
 //! scenario `serve_latency`), carries the front-door serving sweep
@@ -1130,8 +1129,8 @@ struct ShardRow {
     shards: usize,
     /// Partition strategy name ("none" for the unsharded reference).
     strategy: &'static str,
-    /// Executor threads the engine resolved to (1 = the sequential
-    /// interleave, k = one pinned executor per shard).
+    /// Executor threads the engine resolved to (1 = one executor on the
+    /// calling thread, k = one pinned executor per shard).
     threads: usize,
     steps: u64,
     secs: f64,
@@ -1141,13 +1140,6 @@ struct ShardRow {
     hand_offs: u64,
     flushes: u64,
     transfer_bytes: u64,
-    transfer_s: f64,
-    /// The compute half of the session's model clock (`model_seconds =
-    /// transfer_s + compute_s`): measured wall seconds inside `advance`
-    /// for the sequential interleave, the straggler executor's busy time
-    /// for parallel rows — so the rate it implies survives CI hosts with
-    /// fewer cores than executors, where `secs` serializes the overlap.
-    compute_s: f64,
 }
 
 impl ShardRow {
@@ -1168,26 +1160,13 @@ impl ShardRow {
         }
     }
 
-    /// Steps per second of *model* time (transfer + compute clock) — the
-    /// number that compares sequential and parallel rows fairly on any
-    /// host. 0.0 for the unsharded reference row, which has no model.
-    fn model_steps_per_sec(&self) -> f64 {
-        let model_s = self.transfer_s + self.compute_s;
-        if model_s > 0.0 {
-            self.steps as f64 / model_s
-        } else {
-            0.0
-        }
-    }
-
     fn to_json(&self) -> String {
         format!(
             "{{\"dataset\": \"{}\", \"shards\": {}, \"strategy\": \"{}\", \
              \"threads\": {}, \"steps\": {}, \"secs\": {:.6}, \
              \"steps_per_sec\": {:.1}, \"crossing_expected\": {:.6}, \
              \"crossing_measured\": {:.6}, \"hand_offs\": {}, \"flushes\": {}, \
-             \"transfer_bytes\": {}, \"transfer_s\": {:.9}, \"compute_s\": {:.9}, \
-             \"model_steps_per_sec\": {:.1}}}",
+             \"transfer_bytes\": {}}}",
             self.dataset,
             self.shards,
             self.strategy,
@@ -1200,9 +1179,6 @@ impl ShardRow {
             self.hand_offs,
             self.flushes,
             self.transfer_bytes,
-            self.transfer_s,
-            self.compute_s,
-            self.model_steps_per_sec(),
         )
     }
 }
@@ -1243,33 +1219,23 @@ fn diag_field(diag: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// `key=F` float field of a sharded session's diagnostics line. The
-/// session's `model_seconds` folds compute into the total since the
-/// straggler-accounting fix, so the transfer share is only available
-/// through the diagnostics breakdown.
-fn diag_field_f64(diag: &str, key: &str) -> f64 {
-    diag.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
-        .unwrap_or(0.0)
-}
-
 /// The `shard_scale` scenario: the partitioned engine (DESIGN.md §11–§12)
 /// on one RMAT dataset against an unsharded reference row, sweeping shard
 /// count, executor thread count and partition strategy:
 ///
-/// - K ∈ {1, 2, 4} sequential (threads = 1): K = 1 is the bit-identical
-///   fast path and must sit within noise of the reference; K ≥ 2 records
-///   the hand-off rate and the modelled transfer cost of the crossings.
+/// - K ∈ {1, 2, 4} with one executor on the calling thread: K = 1 walks
+///   the reference engine's paths through one shard lane, so it compares
+///   like for like with the reference row; K ≥ 2 records the hand-off
+///   rate and hand-off record bytes of the crossings.
 /// - K ∈ {2, 4} with one pinned executor per shard: the parallel rows,
-///   asserted in-bench to sample the exact walks of the sequential
-///   schedule before they are timed.
+///   asserted in-bench to sample the reference engine's exact walks
+///   before they are timed.
 /// - The walk-aware partition strategy at the same K, whose *measured*
 ///   crossing rate is the number the partitioner optimizes.
 ///
 /// A compression row (plain vs varint-packed file bytes) rides along.
 /// The dataset floor is rmat-12 so the acceptance comparison (parallel
-/// vs sequential K = 2) always runs on a graph with enough work to
+/// vs one-executor K = 2) always runs on a graph with enough work to
 /// overlap, even under `--quick`.
 fn measure_shard_scale(
     opts: &ReportOpts,
@@ -1290,13 +1256,15 @@ fn measure_shard_scale(
     let queries = if opts.quick { 20_000 } else { 100_000 };
     let qs = QuerySet::n_queries(&g, queries, 20, opts.seed);
 
-    // The unsharded noise baseline: the same sequential loop K = 1
-    // replays, on the same graph and seed.
+    // The unsharded noise baseline: the walks every sharded row samples,
+    // on the same graph and seed.
+    let reference = ReferenceEngine::new(&g, &app, SamplerKind::InverseTransform, opts.seed);
+    let reference_walks = reference.run(&qs);
     {
-        let engine = ReferenceEngine::new(&g, &app, SamplerKind::InverseTransform, opts.seed);
+        let engine = &reference;
         let mut sink = CountingSink::default();
         let t = Instant::now();
-        let (steps, _) = (&engine as &dyn WalkEngine).stream_into(&qs, u64::MAX, &mut sink);
+        let (steps, _) = (engine as &dyn WalkEngine).stream_into(&qs, u64::MAX, &mut sink);
         rows.push(ShardRow {
             dataset: name.clone(),
             shards: 0,
@@ -1308,8 +1276,6 @@ fn measure_shard_scale(
             hand_offs: 0,
             flushes: 0,
             transfer_bytes: 0,
-            transfer_s: 0.0,
-            compute_s: 0.0,
         });
     }
 
@@ -1333,17 +1299,10 @@ fn measure_shard_scale(
         let crossing_expected = engine.sharded().crossing_rate();
         if threads > 1 {
             // Schedule-independence gate: the parallel executors must
-            // sample the sequential interleave's walks exactly before
-            // their timing row means anything.
-            let sequential = ShardedEngine::new(
-                partition_graph(&g, k, strategy),
-                &app,
-                SamplerKind::InverseTransform,
-                opts.seed,
-            );
-            assert_eq!(
-                engine.run_collected(&qs),
-                sequential.run_collected(&qs),
+            // sample the reference engine's walks exactly before their
+            // timing row means anything.
+            assert!(
+                engine.run_collected(&qs) == reference_walks,
                 "parallel schedule changed walks (k={k} threads={threads} {})",
                 strategy.name()
             );
@@ -1367,18 +1326,15 @@ fn measure_shard_scale(
             hand_offs: diag_field(&diag, "hand-offs="),
             flushes: diag_field(&diag, "flushes="),
             transfer_bytes: diag_field(&diag, "transfer-bytes="),
-            transfer_s: diag_field_f64(&diag, "transfer-s="),
-            compute_s: diag_field_f64(&diag, "compute-s="),
         };
         eprintln!(
-            "shard_scale {name} k={k} threads={threads} {}: {} wall, {} model, \
-             crossing {:.4} (expected {:.4}) transfer {:.3} ms",
+            "shard_scale {name} k={k} threads={threads} {}: {} wall, \
+             crossing {:.4} (expected {:.4}), {} hand-off bytes",
             strategy.name(),
             lightrw_bench::fmt_rate(row.steps_per_sec()),
-            lightrw_bench::fmt_rate(row.model_steps_per_sec()),
             row.crossing_measured(),
             row.crossing_expected,
-            row.transfer_s * 1e3,
+            row.transfer_bytes,
         );
         rows.push(row);
     }
@@ -1792,7 +1748,7 @@ fn main() {
     if opts.runs("shard_scale") {
         println!(
             "{:<10} {:>6} {:>12} {:>10} {:>10} {:>12} {:>12}",
-            "sharded", "shards", "steps/s", "cross exp", "cross obs", "xfer bytes", "xfer s"
+            "sharded", "shards", "steps/s", "cross exp", "cross obs", "xfer bytes", "flushes"
         );
         for r in &shard_rows {
             let label = if r.shards == 0 {
@@ -1801,14 +1757,14 @@ fn main() {
                 format!("{}", r.shards)
             };
             println!(
-                "{:<10} {:>6} {:>12} {:>10.4} {:>10.4} {:>12} {:>12.6}",
+                "{:<10} {:>6} {:>12} {:>10.4} {:>10.4} {:>12} {:>12}",
                 r.dataset,
                 label,
                 lightrw_bench::fmt_rate(r.steps_per_sec()),
                 r.crossing_expected,
                 r.crossing_measured(),
                 r.transfer_bytes,
-                r.transfer_s
+                r.flushes
             );
         }
         for c in &compression_rows {

@@ -285,7 +285,8 @@ mod tests {
         // Two disjoint 16-cliques with the range cut between them: no
         // walker ever crosses shards, so a transfer-only model would call
         // the board free and straggler accounting would ignore it. The
-        // board must still report its lane compute time as kernel time.
+        // board has no model clock, so the cluster charges its measured
+        // wall time, as for any software board.
         let mut b = lightrw_graph::GraphBuilder::undirected();
         for c in 0..2u32 {
             let base = c * 16;
@@ -309,7 +310,7 @@ mod tests {
         };
 
         // Pin the scenario: this workload genuinely produces zero
-        // hand-offs, yet the session's model clock must not read zero.
+        // hand-offs, and the session reports no model clock.
         let engine = make_board();
         let mut sink = WalkResults::with_capacity(qs.len(), 9);
         let mut session = engine.start_session(&qs);
@@ -318,16 +319,12 @@ mod tests {
         }
         let diag = session.diagnostics().unwrap();
         assert!(diag.contains("hand-offs=0"), "{diag}");
-        let model = session.model_seconds().unwrap();
-        assert!(
-            model > 0.0,
-            "zero-hand-off sharded board reports no kernel time ({diag})"
-        );
+        assert_eq!(session.model_seconds(), None, "{diag}");
 
-        // And the cluster's straggler fold sees that time.
+        // And the cluster's straggler fold sees the measured time.
         let cluster = LightRwCluster::from_engines(&g, vec![Box::new(make_board())]);
         let rep = cluster.run(&qs);
-        assert!(rep.boards[0].modelled, "sharded boards carry a model clock");
+        assert!(!rep.boards[0].modelled, "sharded boards are measured");
         assert!(
             rep.boards[0].kernel_s > 0.0,
             "sharded board is invisible to straggler accounting"

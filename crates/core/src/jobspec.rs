@@ -62,7 +62,7 @@ pub struct Trace {
     /// how `threads` only shapes the CPU engine.
     pub shards: Option<usize>,
     /// Executor threads per sharded pool engine (`0` = one per shard,
-    /// `1` = the sequential interleave); `None` leaves the backend's
+    /// `1` = one executor on the calling thread); `None` leaves the backend's
     /// default. Only meaningful with `--engine sharded`.
     pub shard_threads: Option<usize>,
     /// Graph the trace should run on (any path `lightrw-cli` accepts,

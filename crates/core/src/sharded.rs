@@ -1,102 +1,89 @@
 //! Sharded walk execution: one engine lane per graph partition, walkers
 //! migrating at shard boundaries through bounded hand-off queues
-//! (DESIGN.md §11), with optional **parallel shard executors** — pinned
-//! worker threads that overlap hand-off delivery with compute
-//! (DESIGN.md §12).
+//! (DESIGN.md §11), run by one or more **shard executors** that overlap
+//! hand-off delivery with compute (DESIGN.md §12).
 //!
 //! [`ShardedEngine`] runs a [`lightrw_graph::ShardedGraph`] — built by
 //! [`lightrw_graph::partition_graph`] (see `lightrw_graph::partition`
 //! for the placement strategies, including the walk-aware
 //! `ShardStrategy::Walk`) or loaded from a packed sharded file
 //! ([`lightrw_graph::load_packed_sharded`]) — behind the ordinary
-//! [`WalkSession`] contract. Each shard owns a sequential step lane with
-//! its own [`HotStepper`]; a walker whose step lands on a **ghost**
+//! [`WalkSession`] contract. Each shard owns a step lane with its own
+//! [`HotStepper`] and run queue; a walker whose step lands on a **ghost**
 //! vertex (owned by another shard) is serialized into a hand-off record
-//! and parked in a per-destination outbox until the outbox reaches the
-//! flush budget or the local lane runs out of work.
+//! and held in a per-destination outbox until the outbox reaches the
+//! flush budget or the executor runs out of local work.
 //!
-//! Two execution modes share that data model:
-//!
-//! - `shard_threads == 1` (default): the deterministic single-thread
-//!   interleave of PR 8 — lanes sweep round-robin, outboxes flush at a
-//!   round barrier.
-//! - `shard_threads >= 2`: each executor thread owns `k / threads` shard
-//!   lanes, pins itself via `lightrw_baseline::affinity`, and delivers
-//!   hand-off batches over channels so a crossing overlaps with the
-//!   other executors' compute. A quiescence protocol (an atomic count of
-//!   live walkers; the executor that retires or parks the last one
-//!   broadcasts `Quiesce`) replaces the sequential round-barrier exit.
-//!   Paths are emitted on the session thread as completions stream in,
-//!   so the non-`Send` [`WalkSink`] never crosses a thread.
+//! One execution path serves every shard count and thread count. Shard
+//! `s` belongs to executor `s % threads`; each executor absorbs arrivals,
+//! sweeps its lanes, flushes its outboxes (local batches deliver in
+//! place, remote ones travel over a channel), and blocks on its inbox
+//! only when out of work. A quiescence protocol ends the advance: an
+//! atomic count of walkers still runnable in this advance, and whoever
+//! retires or parks the last one broadcasts `Quiesce`. `shard_threads ==
+//! 1` runs the single executor on the calling thread, unpinned and not
+//! spawned; otherwise each executor is a scoped thread pinned via
+//! `lightrw_baseline::affinity`. Lanes persist across advances: a lane
+//! that spends its per-advance budget keeps its remaining walkers
+//! (*parked*) for the next advance, and only retired walkers' paths go
+//! back to the session thread, which emits them as they stream in, so
+//! the non-`Send` [`WalkSink`] never crosses a thread.
 //!
 //! The three contracts that make all of this safe:
 //!
-//! - **RNG streams travel with the walker.** Every query gets its own
-//!   [`SamplerStream`] (seed derived from the engine seed and the query
-//!   index); the destination lane's stepper imports the stream before
-//!   stepping, so a walk's draws are a pure function of its query — not
-//!   of shard count, flush budget, thread count, or batch schedule.
-//!   That is what makes the parallel executors **bit-identical** to the
-//!   sequential interleave, and what the conformance and property
-//!   suites pin.
+//! - **RNG streams travel with the walker.** Every query starts on its
+//!   [`query_stream`] (a pure function of the engine seed and the query
+//!   index, shared with the reference and CPU engines); the lane's
+//!   stepper imports the stream before stepping the walker and exports
+//!   it when the walker leaves, so a walk's draws never depend on shard
+//!   count, flush budget, thread count or batch schedule — every setting
+//!   samples the [`lightrw_walker::ReferenceEngine`] walks exactly.
 //! - **Second-order hand-offs carry the previous row.** Node2Vec weights
 //!   read the *previous* vertex's adjacency, which the destination shard
-//!   does not store. The record ships the row (charged to the transfer
-//!   model) and the lane arms it as a prev-row override
-//!   ([`HotStepper::arm_prev_row`]) for the arrival step.
+//!   does not store. The record ships the row and the lane arms it as a
+//!   prev-row override ([`HotStepper::arm_prev_row`]) for the arrival
+//!   step.
 //! - **Emission is exactly-once and id-ordered** via the shared
 //!   [`InOrderEmitter`] watermark, identical to the CPU engine's lanes.
 //!
-//! Hand-off batches are charged to the modelled interconnect (the PCIe
-//! model of [`crate::pcie`]): each flush costs one link latency plus
-//! `bytes / bandwidth`, with a record costing a fixed header plus four
-//! bytes per shipped prev-row entry. [`WalkSession::model_seconds`]
-//! reports the accumulated transfer seconds **plus** the measured lane
-//! compute seconds, so cluster straggler accounting never treats a
-//! sharded board as free compute. Hand-off and byte totals are
-//! schedule-independent (walks are deterministic); flush counts and
-//! transfer seconds depend on batch coalescing and may differ between
-//! the sequential and parallel schedules.
+//! Sessions count hand-offs, flushes and the bytes the hand-off records
+//! would occupy on a link (a fixed header plus four bytes per shipped
+//! prev-row entry) and report them through `diagnostics()`. Hand-off and
+//! byte totals are schedule-independent (walks are deterministic); flush
+//! counts depend on batch coalescing.
 //!
-//! `k = 1` takes a dedicated sequential path that is **bit-identical**
-//! to [`lightrw_walker::ReferenceEngine`]: one continuous stepper over
-//! all queries, seeded with the engine seed (pinned by
-//! `tests/sharded_execution.rs`).
+//! An executor that panics broadcasts an abort to its peers as it
+//! unwinds, so they return instead of waiting on its hand-offs, and the
+//! session re-raises the panic on the calling thread.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::time::Instant;
 
-use lightrw_baseline::{affinity, thread_clock};
+use lightrw_baseline::affinity;
 use lightrw_graph::{partition_graph, Graph, ShardStrategy, ShardedGraph, VertexId};
-use lightrw_rng::splitmix::{mix64, GOLDEN_GAMMA};
 use lightrw_walker::{
-    AnySampler, BatchProgress, HotStepper, InOrderEmitter, Query, QuerySet, SamplerKind,
+    query_stream, BatchProgress, HotStepper, InOrderEmitter, Query, QuerySet, SamplerKind,
     SamplerStream, StepOutcome, WalkApp, WalkEngine, WalkProgram, WalkSession, WalkSink, WalkState,
 };
 
-use crate::pcie::PcieBreakdown;
-use crate::platform::U250_PLATFORM;
-
 /// Serialized size of one hand-off record, excluding the optional
-/// prev-row payload: query id (4), current and previous vertex (4 + 5),
-/// step counters (4 + 4), restart-segment flag padding (1), and the
-/// [`SamplerStream`] triple (24). Payload entries add four bytes each.
-pub const HANDOFF_RECORD_BYTES: u64 = 40;
+/// prev-row payload: four 4-byte walker fields (query id, current and
+/// previous vertex, step count) and the 16-byte [`SamplerStream`]
+/// position. Payload entries add four bytes each.
+pub const HANDOFF_RECORD_BYTES: u64 = 32;
 
 /// A partitioned-execution engine: one step lane per shard, bounded
-/// hand-off queues between them, modelled transfer costs per flush,
-/// and optionally parallel pinned shard executors.
+/// hand-off queues between them, run by one or more shard executors.
 pub struct ShardedEngine<'a> {
     sharded: ShardedGraph,
     app: &'a dyn WalkApp,
     sampler: SamplerKind,
     seed: u64,
     flush_budget: usize,
-    /// Requested executor thread count: 1 = sequential interleave,
-    /// 0 = one executor per shard, n = min(n, k) executors.
+    /// Requested executor thread count: 1 = one executor on the calling
+    /// thread, 0 = one executor per shard, n = min(n, k) executors.
     shard_threads: usize,
     /// Provenance note surfaced through session diagnostics (e.g. "the
     /// packed partition was discarded and rebuilt in memory").
@@ -148,10 +135,10 @@ impl<'a> ShardedEngine<'a> {
         self
     }
 
-    /// Set the executor thread count: `1` keeps the deterministic
-    /// single-thread interleave, `0` spawns one pinned executor per
-    /// shard, and any other value is capped at the shard count. Sampled
-    /// walks are bit-identical across every setting.
+    /// Set the executor thread count: `1` runs one executor on the
+    /// calling thread, `0` spawns one pinned executor per shard, and any
+    /// other value is capped at the shard count. Sampled walks are
+    /// bit-identical across every setting.
     pub fn with_shard_threads(mut self, shard_threads: usize) -> Self {
         self.shard_threads = shard_threads;
         self
@@ -191,12 +178,7 @@ impl WalkEngine for ShardedEngine<'_> {
     }
 
     fn start_session<'s>(&'s self, queries: &QuerySet) -> Box<dyn WalkSession + 's> {
-        let engine: &'s ShardedEngine<'s> = self;
-        if self.sharded.k() == 1 {
-            Box::new(SingleShardSession::new(engine, queries))
-        } else {
-            Box::new(MultiShardSession::new(engine, queries))
-        }
+        Box::new(ShardedSession::new(self, queries))
     }
 
     /// One graph image per shard: a deployed sharded engine pushes each
@@ -206,133 +188,8 @@ impl WalkEngine for ShardedEngine<'_> {
     }
 }
 
-// --- k = 1: the sequential fast path -------------------------------------
-
-/// Degenerate single-shard session — a verbatim replay of the reference
-/// engine's session loop (one continuous stepper, one query in flight),
-/// so `--shards 1` is bit-identical to the unsharded reference backend.
-struct SingleShardSession<'s> {
-    graph: &'s Graph,
-    app: &'s dyn WalkApp,
-    stepper: HotStepper,
-    program: WalkProgram,
-    queries: Vec<Query>,
-    qi: usize,
-    path: Vec<VertexId>,
-    st: WalkState,
-    steps_done: u64,
-    note: Option<&'s str>,
-}
-
-impl<'s> SingleShardSession<'s> {
-    fn new(engine: &'s ShardedEngine<'s>, queries: &QuerySet) -> Self {
-        let graph = &engine.sharded.shards[0].graph;
-        let mut stepper = HotStepper::new(engine.app, engine.sampler, engine.seed);
-        stepper.reserve(graph.max_degree() as usize);
-        let program = queries.program().clone();
-        let queries = queries.queries().to_vec();
-        let mut path = Vec::new();
-        let mut st = WalkState::start(0);
-        if let Some(q) = queries.first() {
-            path.reserve(q.length as usize + 1);
-            path.push(q.start);
-            st = WalkState::start(q.start);
-        }
-        Self {
-            graph,
-            app: engine.app,
-            stepper,
-            program,
-            queries,
-            qi: 0,
-            path,
-            st,
-            steps_done: 0,
-            note: engine.partition_note.as_deref(),
-        }
-    }
-
-    fn finish_current(&mut self, sink: &mut dyn WalkSink) {
-        sink.emit(self.qi as u32, &self.path);
-        self.qi += 1;
-        self.path.clear();
-        if let Some(q) = self.queries.get(self.qi) {
-            self.path.push(q.start);
-            self.st = WalkState::start(q.start);
-        }
-    }
-}
-
-impl WalkSession for SingleShardSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let mut progress = BatchProgress::default();
-        let mut attempts = 0u64;
-        while attempts < budget && self.qi < self.queries.len() {
-            let q = self.queries[self.qi];
-            attempts += 1;
-            let outcome = self.program.step_attempt(
-                self.graph,
-                self.app,
-                &mut self.stepper,
-                &q,
-                &mut self.st,
-            );
-            let done = match outcome {
-                StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    self.path.push(v);
-                    self.steps_done += 1;
-                    progress.steps += 1;
-                    done
-                }
-                StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-            };
-            if done {
-                self.finish_current(sink);
-                progress.paths_completed += 1;
-            }
-        }
-        progress.finished = self.finished();
-        progress
-    }
-
-    fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        while self.qi < self.queries.len() {
-            self.finish_current(sink);
-            progress.paths_completed += 1;
-        }
-        progress.finished = true;
-        progress
-    }
-
-    fn finished(&self) -> bool {
-        self.qi >= self.queries.len()
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn paths_completed(&self) -> usize {
-        self.qi
-    }
-
-    fn diagnostics(&self) -> Option<String> {
-        let mut d = "k=1 (sequential fast path)".to_string();
-        if let Some(note) = self.note {
-            d.push_str(", ");
-            d.push_str(note);
-        }
-        Some(d)
-    }
-}
-
-// --- k >= 2: lanes, outboxes and hand-offs -------------------------------
-
-/// One in-flight walker: its program state, partial path, serialized RNG
-/// stream, and (between hand-off and arrival step) the shipped prev-row
+/// One in-flight walker: its program state, partial path, RNG stream
+/// position, and (between hand-off and arrival step) the shipped prev-row
 /// payload.
 struct Walker {
     st: WalkState,
@@ -342,48 +199,51 @@ struct Walker {
     /// hand-off; armed as the stepper's prev-row override for exactly
     /// the arrival step.
     prev_row: Option<Vec<VertexId>>,
-    done: bool,
 }
 
-/// Multi-shard session. With `shard_threads == 1`: a deterministic
-/// round-robin over shard lanes with per-(source, destination) outboxes
-/// flushed at the budget or at round end. With `shard_threads >= 2`:
-/// pinned parallel executors with channel hand-off (DESIGN.md §12).
-/// Both schedules sample bit-identical walks.
-struct MultiShardSession<'s> {
+impl Walker {
+    /// Bytes this walker's hand-off record occupies on a link.
+    fn record_bytes(&self) -> u64 {
+        HANDOFF_RECORD_BYTES + 4 * self.prev_row.as_ref().map_or(0, |r| r.len()) as u64
+    }
+}
+
+/// One shard's step lane: its stepper and the live walkers it owns.
+/// Persists across advances, so walkers parked at the end of one advance
+/// resume from the same queue in the next.
+struct ShardLane<'g> {
+    shard: usize,
+    graph: &'g Graph,
+    stepper: HotStepper,
+    runq: VecDeque<(usize, Walker)>,
+    /// Step attempts spent in the current advance.
+    attempts: u64,
+}
+
+/// A sharded session: per-shard lanes, the retired paths awaiting
+/// emission, and the hand-off tallies.
+struct ShardedSession<'s> {
     sharded: &'s ShardedGraph,
     app: &'s dyn WalkApp,
     program: WalkProgram,
     queries: Vec<Query>,
-    /// One stepper per shard lane; streams are imported per attempt.
-    steppers: Vec<HotStepper>,
-    /// Runnable walkers parked on each shard (owner of their `cur`).
-    runq: Vec<VecDeque<usize>>,
-    /// Sequential-mode hand-off records awaiting a flush, indexed
-    /// `src * k + dst` (unused by the parallel schedule, which keeps
-    /// per-executor outboxes).
-    outbox: Vec<Vec<usize>>,
+    lanes: Vec<ShardLane<'s>>,
     flush_budget: usize,
-    /// Resolved executor count (1 = sequential interleave, else <= k).
+    /// Resolved executor count (1 = the calling thread, else <= k).
     threads: usize,
-    /// Walker slots; `None` only while a walker is out on an executor
-    /// during a parallel `advance`.
-    walkers: Vec<Option<Walker>>,
+    /// Paths of retired walkers, taken as the watermark emits them.
+    retired: Vec<Option<Vec<VertexId>>>,
     emitter: InOrderEmitter,
     steps_done: u64,
     hand_offs: u64,
     flushes: u64,
     transfer_bytes: u64,
-    transfer_s: f64,
-    /// Measured wall seconds spent inside `advance` — the lane compute
-    /// component of `model_seconds`.
-    compute_s: f64,
-    /// Executors that successfully pinned in the last parallel round.
+    /// Executors that successfully pinned in the last advance.
     pinned: usize,
     note: Option<&'s str>,
 }
 
-impl<'s> MultiShardSession<'s> {
+impl<'s> ShardedSession<'s> {
     fn new(engine: &'s ShardedEngine<'s>, queries: &QuerySet) -> Self {
         let sharded = &engine.sharded;
         let k = sharded.k();
@@ -397,351 +257,183 @@ impl<'s> MultiShardSession<'s> {
             .map(|s| s.graph.max_degree())
             .max()
             .unwrap_or(0) as usize;
-        let steppers = (0..k)
-            .map(|_| {
-                let mut st = HotStepper::new(engine.app, engine.sampler, engine.seed);
-                st.reserve(max_degree);
-                st
+        let mut lanes: Vec<ShardLane<'s>> = sharded
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| {
+                let mut stepper = HotStepper::new(engine.app, engine.sampler, engine.seed);
+                stepper.reserve(max_degree);
+                ShardLane {
+                    shard,
+                    graph: &s.graph,
+                    stepper,
+                    runq: VecDeque::new(),
+                    attempts: 0,
+                }
             })
             .collect();
         let qs = queries.queries().to_vec();
-        let mut runq: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
-        let walkers: Vec<Option<Walker>> = qs
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                // Per-query stream: draws are a pure function of the
-                // query, never of shard count or schedule.
-                let stream_seed = mix64(engine.seed ^ (qi as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
-                runq[sharded.owner_of(q.start)].push_back(qi);
-                let mut path = Vec::with_capacity(q.length as usize + 1);
-                path.push(q.start);
-                Some(Walker {
+        for (qi, q) in qs.iter().enumerate() {
+            let mut path = Vec::with_capacity(q.length as usize + 1);
+            path.push(q.start);
+            lanes[sharded.owner_of(q.start)].runq.push_back((
+                qi,
+                Walker {
                     st: WalkState::start(q.start),
                     path,
-                    stream: AnySampler::new(engine.sampler, stream_seed).export_stream(),
+                    stream: query_stream(engine.sampler, engine.seed, qi),
                     prev_row: None,
-                    done: false,
-                })
-            })
-            .collect();
+                },
+            ));
+        }
         Self {
             sharded,
             app: engine.app,
             program: queries.program().clone(),
+            retired: vec![None; qs.len()],
+            emitter: InOrderEmitter::new(qs.len()),
             queries: qs,
-            steppers,
-            runq,
-            outbox: vec![Vec::new(); k * k],
+            lanes,
             flush_budget: engine.flush_budget,
             threads,
-            walkers,
-            emitter: InOrderEmitter::new(queries.len()),
             steps_done: 0,
             hand_offs: 0,
             flushes: 0,
             transfer_bytes: 0,
-            transfer_s: 0.0,
-            compute_s: 0.0,
             pinned: 0,
             note: engine.partition_note.as_deref(),
         }
     }
 
-    /// Deliver outbox `(s, t)` to shard `t`'s run queue, charging one
-    /// modelled link transfer (latency + bytes / bandwidth) for the
-    /// coalesced batch. Sequential schedule only.
-    fn flush_pair(&mut self, s: usize, t: usize) {
-        let k = self.sharded.k();
-        let batch = std::mem::take(&mut self.outbox[s * k + t]);
-        if batch.is_empty() {
-            return;
-        }
-        let mut bytes = 0u64;
-        for &w in &batch {
-            let payload = self.walkers[w]
-                .as_ref()
-                .map_or(0, |wk| wk.prev_row.as_ref().map_or(0, |r| r.len()))
-                as u64;
-            bytes += HANDOFF_RECORD_BYTES + 4 * payload;
-        }
-        let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-        self.transfer_s += link.upload_s;
-        self.transfer_bytes += bytes;
-        self.flushes += 1;
-        self.runq[t].extend(batch);
-    }
-
-    /// Flush every non-empty outbox (round end / cancellation barrier).
-    /// Returns how many walkers were delivered.
-    fn flush_all(&mut self) -> usize {
-        let k = self.sharded.k();
-        let mut delivered = 0;
-        for s in 0..k {
-            for t in 0..k {
-                delivered += self.outbox[s * k + t].len();
-                self.flush_pair(s, t);
-            }
-        }
-        delivered
-    }
-
-    /// The deterministic single-thread interleave (PR 8 schedule).
-    fn advance_sequential(&mut self, budget: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let k = self.sharded.k();
-        let mut progress = BatchProgress::default();
-        let mut attempts = vec![0u64; k];
-        loop {
-            let mut worked = false;
-            // One deterministic sweep: each lane steps its queue head
-            // until the lane budget, a retirement, or a hand-off.
-            for (s, lane_attempts) in attempts.iter_mut().enumerate() {
-                while *lane_attempts < budget {
-                    let Some(&w) = self.runq[s].front() else {
-                        break;
-                    };
-                    worked = true;
-                    *lane_attempts += 1;
-                    let q = self.queries[w];
-                    let g = &self.sharded.shards[s].graph;
-                    let stepper = &mut self.steppers[s];
-                    let wk = self.walkers[w].as_mut().expect("runnable walker in slot");
-                    stepper.import_stream(&wk.stream);
-                    if let Some(row) = wk.prev_row.take() {
-                        stepper.arm_prev_row(&row);
-                    }
-                    let outcome = self
-                        .program
-                        .step_attempt(g, self.app, stepper, &q, &mut wk.st);
-                    stepper.clear_prev_row();
-                    wk.stream = stepper.export_stream();
-                    let done = match outcome {
-                        StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                            let v = outcome.appended(q.start).expect("advancing outcome");
-                            wk.path.push(v);
-                            self.steps_done += 1;
-                            progress.steps += 1;
-                            done
-                        }
-                        StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-                    };
-                    if done {
-                        wk.done = true;
-                        self.runq[s].pop_front();
-                        continue;
-                    }
-                    let t = self.sharded.owner_of(wk.st.cur);
-                    if t != s {
-                        // Hand-off: serialize the walker into the (s, t)
-                        // outbox. Second-order apps ship the previous
-                        // vertex's row — it lives on this shard, not the
-                        // destination.
-                        if self.app.second_order() {
-                            if let Some(prev) = wk.st.prev {
-                                wk.prev_row = Some(g.neighbors(prev).to_vec());
-                            }
-                        }
-                        self.runq[s].pop_front();
-                        self.hand_offs += 1;
-                        self.outbox[s * k + t].push(w);
-                        if self.outbox[s * k + t].len() >= self.flush_budget {
-                            self.flush_pair(s, t);
-                        }
-                    }
-                }
-            }
-            // Round barrier: deliver stragglers below the flush budget so
-            // migrated walkers never starve, then emit at the watermark.
-            let delivered = self.flush_all();
-            progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
-            if self.emitter.finished() || (!worked && delivered == 0) {
-                break;
-            }
-        }
-        progress
-    }
-
-    /// The parallel schedule: pinned executors, channel hand-off,
-    /// quiescence termination. Walks are bit-identical to
-    /// [`Self::advance_sequential`] because every walker carries its own
-    /// RNG stream.
-    fn advance_parallel(&mut self, budget: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let k = self.sharded.k();
+    /// Run every executor over the live walkers until quiescence,
+    /// emitting retired paths at the watermark as they arrive. Returns
+    /// the paths emitted and the executors' tallies.
+    fn run_executors(
+        &mut self,
+        budget: u64,
+        live: usize,
+        sink: &mut dyn WalkSink,
+    ) -> (usize, Vec<ExecStats>) {
         let threads = self.threads;
-        let mut progress = BatchProgress::default();
-
-        // Schedule: move every runnable walker out of its slot, grouped
-        // by owning shard.
-        let mut scheduled = 0usize;
-        let mut shard_queues: Vec<VecDeque<(usize, Walker)>> = Vec::with_capacity(k);
-        for q in &mut self.runq {
-            let mut local = VecDeque::with_capacity(q.len());
-            for wi in q.drain(..) {
-                local.push_back((
-                    wi,
-                    self.walkers[wi].take().expect("runnable walker in slot"),
-                ));
-            }
-            scheduled += local.len();
-            shard_queues.push(local);
+        let mut lanes_by_exec: Vec<Vec<&mut ShardLane<'s>>> =
+            (0..threads).map(|_| Vec::new()).collect();
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            lane.attempts = 0;
+            lanes_by_exec[s % threads].push(lane);
         }
+        let active = AtomicUsize::new(live);
+        let (txs, rxs): (Vec<Sender<ExecMsg>>, Vec<Receiver<ExecMsg>>) =
+            (0..threads).map(|_| channel()).unzip();
+        let (done_tx, done_rx) = channel::<Vec<(usize, Vec<VertexId>)>>();
+        // Every executor holds senders to every inbox (its own included)
+        // and to the done channel; once the executors return, the done
+        // channel disconnects and the collection loop below ends.
+        let ctxs: Vec<ExecCtx<'_>> = (0..threads)
+            .map(|exec| ExecCtx {
+                exec,
+                threads,
+                k: self.sharded.k(),
+                budget,
+                flush_budget: self.flush_budget,
+                app: self.app,
+                program: &self.program,
+                queries: &self.queries,
+                sharded: self.sharded,
+                txs: txs.clone(),
+                done_tx: done_tx.clone(),
+                done_buf: RefCell::new(Vec::new()),
+                active: &active,
+            })
+            .collect();
+        drop((txs, done_tx));
 
-        if scheduled > 0 {
-            // Shard s runs on executor s % threads; executor-local lane
-            // index is s / threads.
-            let mut lanes_by_exec: Vec<Vec<ExecLane<'_>>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for ((s, stepper), queue) in self.steppers.iter_mut().enumerate().zip(shard_queues) {
-                lanes_by_exec[s % threads].push(ExecLane {
-                    shard: s,
-                    graph: &self.sharded.shards[s].graph,
-                    stepper,
-                    runq: queue,
-                    attempts: 0,
-                });
+        let (retired, emitter) = (&mut self.retired, &mut self.emitter);
+        let mut emitted = 0usize;
+        let mut collect = || {
+            for batch in &done_rx {
+                for (wi, path) in batch {
+                    retired[wi] = Some(path);
+                }
+                emitted += drain_ready(emitter, retired, sink);
             }
-
-            let active = AtomicUsize::new(scheduled);
-            let (txs, rxs): (Vec<Sender<ExecMsg>>, Vec<Receiver<ExecMsg>>) =
-                (0..threads).map(|_| channel()).unzip();
-            let (done_tx, done_rx) = channel::<Vec<Completion>>();
-
-            let app = self.app;
-            let program = &self.program;
-            let queries: &[Query] = &self.queries;
-            let sharded = self.sharded;
-            let flush_budget = self.flush_budget;
-            let walkers = &mut self.walkers;
-            let runq = &mut self.runq;
-            let emitter = &mut self.emitter;
-
-            let mut round_stats: Vec<ExecStats> = Vec::with_capacity(threads);
+        };
+        let work = ctxs.into_iter().zip(lanes_by_exec).zip(rxs);
+        let stats = if threads == 1 {
+            let stats: Vec<ExecStats> = work
+                .map(|((ctx, lanes), rx)| run_executor(ctx, lanes, rx))
+                .collect();
+            collect();
+            stats
+        } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = lanes_by_exec
-                    .into_iter()
-                    .zip(rxs)
-                    .enumerate()
-                    .map(|(e, (lanes, rx))| {
-                        let ctx = ExecCtx {
-                            exec: e,
-                            threads,
-                            k,
-                            budget,
-                            flush_budget,
-                            app,
-                            program,
-                            queries,
-                            sharded,
-                            txs: txs.clone(),
-                            done_tx: done_tx.clone(),
-                            done_buf: RefCell::new(Vec::new()),
-                            active: &active,
-                        };
-                        scope.spawn(move || run_executor(ctx, lanes, rx))
+                let handles: Vec<_> = work
+                    .map(|((ctx, lanes), rx)| {
+                        scope.spawn(move || {
+                            let pinned = affinity::pin_current_thread(ctx.exec);
+                            ExecStats {
+                                pinned,
+                                ..run_executor(ctx, lanes, rx)
+                            }
+                        })
                     })
                     .collect();
-                // The executors hold their own clones; dropping ours lets
-                // channel disconnection double as a crash signal.
-                drop(done_tx);
-                drop(txs);
-                // Collect completions on the session thread, emitting at
-                // the watermark as they stream in — emission overlaps
-                // with the executors' remaining compute, and the
-                // non-Send sink never leaves this thread.
-                let mut returned = 0usize;
-                while returned < scheduled {
-                    let batch = done_rx
-                        .recv()
-                        .expect("shard executor terminated without returning its walkers");
-                    for c in batch {
-                        walkers[c.wi] = Some(c.walker);
-                        if let Some(shard) = c.parked_at {
-                            runq[shard].push_back(c.wi);
-                        }
-                        returned += 1;
-                    }
-                    progress.paths_completed += drain_ready(emitter, walkers, sink);
-                }
-                for h in handles {
-                    round_stats.push(h.join().expect("shard executor panicked"));
-                }
-            });
+                // Emission overlaps with the executors' remaining compute.
+                collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        (emitted, stats)
+    }
+}
 
-            self.pinned = round_stats.iter().filter(|s| s.pinned).count();
-            // The round's compute clock is the straggler executor's busy
-            // time: the overlapped duration, as a host with one core per
-            // executor observes it (on a CI host with fewer cores the
-            // wall clock serializes the executors, but each one's busy
-            // time still measures its own share of the work).
-            self.compute_s += round_stats.iter().map(|s| s.busy_s).fold(0.0f64, f64::max);
-            for st in round_stats {
+/// Emit every ready path at the watermark.
+fn drain_ready(
+    emitter: &mut InOrderEmitter,
+    retired: &mut [Option<Vec<VertexId>>],
+    sink: &mut dyn WalkSink,
+) -> usize {
+    emitter.drain(sink, |id| retired[id].take())
+}
+
+impl WalkSession for ShardedSession<'_> {
+    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
+        let budget = max_steps.max(1);
+        let mut progress = BatchProgress::default();
+        let live: usize = self.lanes.iter().map(|l| l.runq.len()).sum();
+        if live > 0 {
+            let (emitted, stats) = self.run_executors(budget, live, sink);
+            progress.paths_completed += emitted;
+            self.pinned = stats.iter().filter(|s| s.pinned).count();
+            for st in stats {
                 progress.steps += st.steps;
                 self.steps_done += st.steps;
                 self.hand_offs += st.hand_offs;
                 self.flushes += st.flushes;
                 self.transfer_bytes += st.transfer_bytes;
-                self.transfer_s += st.transfer_s;
             }
         }
-
-        // Covers the nothing-scheduled case (every walker already done
-        // but not yet emitted — e.g. a zero-progress advance call).
-        progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
-        progress
-    }
-}
-
-/// Emit every ready path at the watermark (walker slots are `None` only
-/// while out on an executor, and those are never `done`).
-fn drain_ready(
-    emitter: &mut InOrderEmitter,
-    walkers: &mut [Option<Walker>],
-    sink: &mut dyn WalkSink,
-) -> usize {
-    emitter.drain(sink, |id| match walkers[id].as_mut() {
-        Some(w) if w.done => Some(std::mem::take(&mut w.path)),
-        _ => None,
-    })
-}
-
-impl WalkSession for MultiShardSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let mut progress = if self.threads >= 2 {
-            // The parallel path accounts its own compute clock: the
-            // straggler executor's busy time (modelled overlap).
-            self.advance_parallel(budget, sink)
-        } else {
-            let t0 = Instant::now();
-            let p = self.advance_sequential(budget, sink);
-            self.compute_s += t0.elapsed().as_secs_f64();
-            p
-        };
+        // Covers the nothing-live case (every walker retired but not yet
+        // emitted — e.g. a zero-progress advance call).
+        progress.paths_completed += drain_ready(&mut self.emitter, &mut self.retired, sink);
         progress.finished = self.finished();
         progress
     }
 
     fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        for q in &mut self.runq {
-            q.clear();
+        for lane in &mut self.lanes {
+            for (wi, wk) in lane.runq.drain(..) {
+                self.retired[wi] = Some(wk.path);
+            }
         }
-        for b in &mut self.outbox {
-            b.clear();
+        BatchProgress {
+            steps: 0,
+            paths_completed: drain_ready(&mut self.emitter, &mut self.retired, sink),
+            finished: true,
         }
-        for wk in self.walkers.iter_mut().flatten() {
-            wk.done = true;
-        }
-        let walkers = &mut self.walkers;
-        progress.paths_completed += self.emitter.drain(sink, |id| {
-            Some(
-                walkers[id]
-                    .as_mut()
-                    .map_or_else(Vec::new, |w| std::mem::take(&mut w.path)),
-            )
-        });
-        progress.finished = true;
-        progress
     }
 
     fn finished(&self) -> bool {
@@ -756,19 +448,9 @@ impl WalkSession for MultiShardSession<'_> {
         self.emitter.emitted()
     }
 
-    /// Modelled interconnect seconds spent on hand-off flushes plus the
-    /// compute clock — the board is never free compute in cluster
-    /// straggler accounting. Sequential compute is the measured wall time
-    /// inside `advance`; parallel compute is the straggler executor's
-    /// busy time per round (the overlapped duration, independent of how
-    /// many physical cores the host could actually grant).
-    fn model_seconds(&self) -> Option<f64> {
-        Some(self.transfer_s + self.compute_s)
-    }
-
     fn diagnostics(&self) -> Option<String> {
         let mut d = format!(
-            "k={} strategy={} threads={} pinned={} hand-offs={} flushes={} transfer-bytes={} transfer-s={:.9} compute-s={:.9}",
+            "k={} strategy={} threads={} pinned={} hand-offs={} flushes={} transfer-bytes={}",
             self.sharded.k(),
             self.sharded.strategy.name(),
             self.threads,
@@ -776,8 +458,6 @@ impl WalkSession for MultiShardSession<'_> {
             self.hand_offs,
             self.flushes,
             self.transfer_bytes,
-            self.transfer_s,
-            self.compute_s,
         );
         if let Some(note) = self.note {
             d.push_str(", ");
@@ -787,55 +467,31 @@ impl WalkSession for MultiShardSession<'_> {
     }
 }
 
-// --- Parallel shard executors (DESIGN.md §12) -----------------------------
+// --- Shard executors (DESIGN.md §12) --------------------------------------
 
 /// Channel message between executors: a coalesced hand-off batch bound
-/// for one shard, or the quiescence broadcast that ends the round.
+/// for one shard, the quiescence broadcast that ends the advance, or the
+/// abort a panicking executor sends as it unwinds.
 enum ExecMsg {
     Batch {
         shard: usize,
         walkers: Vec<(usize, Walker)>,
     },
     Quiesce,
+    Abort,
 }
 
-/// A walker returning to the session thread: retired (`parked_at` is
-/// `None`, the walk is complete) or parked (its lane's per-advance
-/// budget ran out; it re-enters `runq[parked_at]` for the next advance).
-struct Completion {
-    wi: usize,
-    walker: Walker,
-    parked_at: Option<usize>,
-}
-
-/// Per-executor tallies folded into the session after the scoped join.
+/// Per-executor tallies folded into the session after the advance.
 #[derive(Default)]
 struct ExecStats {
     steps: u64,
     hand_offs: u64,
     flushes: u64,
     transfer_bytes: u64,
-    transfer_s: f64,
-    /// Seconds this executor spent with work in hand: its own thread CPU
-    /// time (wall minus inbox-blocked time where the per-thread clock is
-    /// unsupported). The session's parallel compute clock is the straggler
-    /// executor's busy time — the overlapped duration a host with one core
-    /// per executor would observe, which keeps the model clock meaningful
-    /// on CI hosts with fewer cores than executors.
-    busy_s: f64,
     pinned: bool,
 }
 
-/// One shard lane scheduled on an executor for a single advance round.
-struct ExecLane<'a> {
-    shard: usize,
-    graph: &'a Graph,
-    stepper: &'a mut HotStepper,
-    runq: VecDeque<(usize, Walker)>,
-    attempts: u64,
-}
-
-/// Everything an executor shares or owns for one advance round.
+/// Everything an executor shares or owns for one advance.
 struct ExecCtx<'a> {
     exec: usize,
     threads: usize,
@@ -847,81 +503,119 @@ struct ExecCtx<'a> {
     queries: &'a [Query],
     sharded: &'a ShardedGraph,
     txs: Vec<Sender<ExecMsg>>,
-    done_tx: Sender<Vec<Completion>>,
-    done_buf: RefCell<Vec<Completion>>,
+    done_tx: Sender<Vec<(usize, Vec<VertexId>)>>,
+    done_buf: RefCell<Vec<(usize, Vec<VertexId>)>>,
     active: &'a AtomicUsize,
 }
 
-/// Completions per message on the done channel. Retires and parks come
-/// in floods (every advance-end parks whole run queues), so sending them
-/// one channel message at a time costs more than the walking; batches
-/// keep the session thread's wake-ups rare.
+/// Retired paths per message on the done channel. Retirements come in
+/// floods, so sending them one channel message at a time costs more
+/// than the walking; batches keep the session thread's wake-ups rare.
 const COMPLETION_BATCH: usize = 256;
 
 impl ExecCtx<'_> {
-    /// Queue a walker for return to the session thread and decrement the
-    /// live count; whoever retires or parks the last walker broadcasts
-    /// `Quiesce` so every blocked executor unblocks and returns. The
-    /// completion itself travels in a batch — flushed at
-    /// [`COMPLETION_BATCH`], before this executor blocks, and at exit —
-    /// so the walker is *counted* out immediately but *shipped* lazily.
-    fn finish(&self, wi: usize, walker: Walker, parked_at: Option<usize>) {
+    /// Queue a retired walker's path for the session thread and count
+    /// the walker out. The path travels in a batch — flushed at
+    /// [`COMPLETION_BATCH`], before this executor blocks, and at exit.
+    fn retire(&self, wi: usize, path: Vec<VertexId>) {
         let mut buf = self.done_buf.borrow_mut();
-        buf.push(Completion {
-            wi,
-            walker,
-            parked_at,
-        });
+        buf.push((wi, path));
         if buf.len() >= COMPLETION_BATCH {
             let _ = self.done_tx.send(std::mem::take(&mut *buf));
         }
         drop(buf);
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+        self.count_out(1);
+    }
+
+    /// Count out `n` walkers that stay in an exhausted lane until the
+    /// next advance; whoever counts out the last runnable walker
+    /// broadcasts `Quiesce` so every blocked executor unblocks and
+    /// returns.
+    fn count_out(&self, n: usize) {
+        if n > 0 && self.active.fetch_sub(n, Ordering::AcqRel) == n {
             for tx in &self.txs {
                 let _ = tx.send(ExecMsg::Quiesce);
             }
         }
     }
 
-    /// Ship any buffered completions now. Must run before blocking on the
-    /// inbox (the session thread may be waiting on exactly these walkers)
-    /// and before the executor returns.
+    /// Ship any buffered paths now. Must run before blocking on the
+    /// inbox (the session thread may be waiting on exactly these
+    /// walkers) and before the executor returns.
     fn flush_completions(&self) {
         let mut buf = self.done_buf.borrow_mut();
         if !buf.is_empty() {
             let _ = self.done_tx.send(std::mem::take(&mut *buf));
         }
     }
+
+    /// Take outbox slot `t` and ship it: count its records, send a
+    /// remote batch straight to the owning executor's inbox, and return
+    /// a local one for the caller to deliver.
+    fn ship(
+        &self,
+        t: usize,
+        slot: &mut Vec<(usize, Walker)>,
+        stats: &mut ExecStats,
+    ) -> Option<Vec<(usize, Walker)>> {
+        let batch = std::mem::take(slot);
+        stats.flushes += 1;
+        stats.transfer_bytes += batch.iter().map(|(_, w)| w.record_bytes()).sum::<u64>();
+        let dst = t % self.threads;
+        if dst == self.exec {
+            return Some(batch);
+        }
+        // A send only fails after the peer saw Quiesce, which can only
+        // happen once no runnable walkers remain — and this batch holds
+        // runnable walkers, so the peer is still running.
+        let _ = self.txs[dst].send(ExecMsg::Batch {
+            shard: t,
+            walkers: batch,
+        });
+        None
+    }
 }
 
-/// Deliver an arrived batch into the destination lane, or park its
-/// walkers immediately when that lane's budget is already spent (the
-/// parked walkers keep the quiescence count honest — an exhausted lane
-/// can never strand a live walker).
+/// The unwind guard: an executor that panics tells its peers to return
+/// (they would otherwise wait forever for its hand-offs), and dropping
+/// its senders then lets the session thread's collection loop end.
+impl Drop for ExecCtx<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for tx in &self.txs {
+                let _ = tx.send(ExecMsg::Abort);
+            }
+        }
+    }
+}
+
+/// Deliver an arrived batch into the destination lane. A lane whose
+/// budget is already spent keeps the walkers parked for the next advance
+/// and counts them out, so an exhausted lane can never strand the
+/// quiescence count.
 fn deliver(
     ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
+    lanes: &mut [&mut ShardLane<'_>],
     shard: usize,
     batch: Vec<(usize, Walker)>,
 ) {
     let lane = &mut lanes[shard / ctx.threads];
     debug_assert_eq!(lane.shard, shard);
-    if lane.attempts >= ctx.budget {
-        for (wi, walker) in batch {
-            ctx.finish(wi, walker, Some(shard));
-        }
+    let parked = if lane.attempts >= ctx.budget {
+        batch.len()
     } else {
-        lane.runq.extend(batch);
-    }
+        0
+    };
+    lane.runq.extend(batch);
+    ctx.count_out(parked);
 }
 
-/// Flush outbox entries: charge the transfer model, then either hand the
-/// batch to a remote executor's inbox or deliver it locally. With
-/// `force`, every non-empty destination flushes; otherwise only those at
-/// the flush budget.
+/// Ship outbox entries, delivering local batches in place. With `force`,
+/// every non-empty destination flushes; otherwise only those at the
+/// flush budget. Returns how many walkers were delivered locally.
 fn flush_outbox(
     ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
+    lanes: &mut [&mut ShardLane<'_>],
     outbox: &mut [Vec<(usize, Walker)>],
     stats: &mut ExecStats,
     force: bool,
@@ -931,154 +625,111 @@ fn flush_outbox(
         if slot.is_empty() || (!force && slot.len() < ctx.flush_budget) {
             continue;
         }
-        let batch = std::mem::take(slot);
-        let mut bytes = 0u64;
-        for (_, wk) in &batch {
-            let payload = wk.prev_row.as_ref().map_or(0, |r| r.len()) as u64;
-            bytes += HANDOFF_RECORD_BYTES + 4 * payload;
-        }
-        let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-        stats.transfer_s += link.upload_s;
-        stats.transfer_bytes += bytes;
-        stats.flushes += 1;
-        if t % ctx.threads == ctx.exec {
+        if let Some(batch) = ctx.ship(t, slot, stats) {
             delivered_local += batch.len();
             deliver(ctx, lanes, t, batch);
-        } else {
-            // A send only fails after the peer saw Quiesce, which can
-            // only happen once no live walkers remain — and this batch
-            // holds live walkers, so the peer is still running.
-            let _ = ctx.txs[t % ctx.threads].send(ExecMsg::Batch {
-                shard: t,
-                walkers: batch,
-            });
         }
     }
     delivered_local
 }
 
-/// Sweep one lane: step the queue head until retirement, hand-off, or
-/// the lane's per-advance budget. Crossings land in `outbox`; batches to
-/// *remote* executors flush inline at the budget so they overlap with
-/// this executor's remaining compute.
+/// Sweep one lane: step each queue head until it retires, hands off, or
+/// the lane spends its per-advance budget, which parks what is left.
+/// Crossings land in `outbox`. A batch that reaches the flush budget
+/// ships at once when its destination is on a *remote* executor, so it
+/// overlaps with this executor's remaining compute; a local one ends the
+/// sweep so the executor can deliver it. Returns whether the lane did
+/// any work.
 fn sweep_lane(
     ctx: &ExecCtx<'_>,
-    lane: &mut ExecLane<'_>,
+    lane: &mut ShardLane<'_>,
     outbox: &mut [Vec<(usize, Walker)>],
     stats: &mut ExecStats,
 ) -> bool {
+    if lane.attempts >= ctx.budget {
+        return false;
+    }
     let mut worked = false;
-    while lane.attempts < ctx.budget {
-        let Some((wi, wk)) = lane.runq.pop_front() else {
-            break;
+    'sweep: while lane.attempts < ctx.budget {
+        let Some((wi, mut wk)) = lane.runq.pop_front() else {
+            return worked;
         };
         worked = true;
         let q = ctx.queries[wi];
-        // The walker sits in `slot` while it steps; retirement and
-        // hand-off take it out, and anything left at the budget goes
-        // back to the queue head.
-        let mut slot = Some(wk);
-        while lane.attempts < ctx.budget {
-            let wk = slot.as_mut().expect("live walker");
+        let stepper = &mut lane.stepper;
+        stepper.import_stream(&wk.stream);
+        if let Some(row) = wk.prev_row.take() {
+            stepper.arm_prev_row(&row);
+        }
+        loop {
             lane.attempts += 1;
-            let stepper = &mut *lane.stepper;
-            stepper.import_stream(&wk.stream);
-            if let Some(row) = wk.prev_row.take() {
-                stepper.arm_prev_row(&row);
-            }
             let outcome = ctx
                 .program
                 .step_attempt(lane.graph, ctx.app, stepper, &q, &mut wk.st);
             stepper.clear_prev_row();
-            wk.stream = stepper.export_stream();
             let done = match outcome {
                 StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    wk.path.push(v);
+                    wk.path
+                        .push(outcome.appended(q.start).expect("advancing outcome"));
                     stats.steps += 1;
                     done
                 }
                 StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
             };
             if done {
-                let mut wk = slot.take().expect("live walker");
-                wk.done = true;
-                ctx.finish(wi, wk, None);
+                ctx.retire(wi, wk.path);
                 break;
             }
             let t = ctx.sharded.owner_of(wk.st.cur);
             if t != lane.shard {
+                // Hand-off: second-order apps ship the previous vertex's
+                // row — it lives on this shard, not the destination.
+                wk.stream = stepper.export_stream();
                 if ctx.app.second_order() {
                     if let Some(prev) = wk.st.prev {
                         wk.prev_row = Some(lane.graph.neighbors(prev).to_vec());
                     }
                 }
                 stats.hand_offs += 1;
-                let dst_exec = t % ctx.threads;
-                let wk = slot.take().expect("live walker");
                 outbox[t].push((wi, wk));
-                if dst_exec != ctx.exec && outbox[t].len() >= ctx.flush_budget {
-                    // Inline remote flush (no lane access needed): charge
-                    // and send so the destination can start immediately.
-                    let batch = std::mem::take(&mut outbox[t]);
-                    let mut bytes = 0u64;
-                    for (_, w) in &batch {
-                        let payload = w.prev_row.as_ref().map_or(0, |r| r.len()) as u64;
-                        bytes += HANDOFF_RECORD_BYTES + 4 * payload;
+                if outbox[t].len() >= ctx.flush_budget {
+                    if t % ctx.threads == ctx.exec {
+                        break 'sweep;
                     }
-                    let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-                    stats.transfer_s += link.upload_s;
-                    stats.transfer_bytes += bytes;
-                    stats.flushes += 1;
-                    let _ = ctx.txs[dst_exec].send(ExecMsg::Batch {
-                        shard: t,
-                        walkers: batch,
-                    });
+                    ctx.ship(t, &mut outbox[t], stats);
                 }
                 break;
             }
-        }
-        if let Some(wk) = slot {
-            // Budget ran out mid-walk: the walker is still live.
-            lane.runq.push_front((wi, wk));
-            break;
+            if lane.attempts >= ctx.budget {
+                // Budget ran out mid-walk: the walker keeps the queue head.
+                wk.stream = stepper.export_stream();
+                lane.runq.push_front((wi, wk));
+                break;
+            }
         }
     }
     if lane.attempts >= ctx.budget {
         // Park everything left; later arrivals park in `deliver`.
-        while let Some((wi, wk)) = lane.runq.pop_front() {
-            ctx.finish(wi, wk, Some(lane.shard));
-        }
+        ctx.count_out(lane.runq.len());
     }
     worked
 }
 
-/// Executor body: pin, then loop { absorb arrivals, sweep local lanes,
-/// flush ready outboxes }; block on the inbox only when out of local
-/// work with everything flushed, and return on `Quiesce`.
+/// Executor body: loop { absorb arrivals, sweep local lanes, flush ready
+/// outboxes }; block on the inbox only when out of local work with
+/// everything flushed, and return on `Quiesce` (or a peer's `Abort`).
 ///
-/// Termination invariant: `active` counts walkers in run queues,
-/// outboxes and channels. Every retire/park decrements it exactly once,
-/// and `Quiesce` is broadcast only at zero — at which point no batch can
-/// be in flight anywhere, so returning immediately is safe.
+/// Termination invariant: `active` counts walkers runnable in this
+/// advance, in run queues, outboxes and channels. Every retire and park
+/// counts a walker out exactly once, and `Quiesce` is broadcast only at
+/// zero — at which point no batch can be in flight anywhere, so
+/// returning immediately is safe.
 fn run_executor(
     ctx: ExecCtx<'_>,
-    mut lanes: Vec<ExecLane<'_>>,
+    mut lanes: Vec<&mut ShardLane<'_>>,
     rx: Receiver<ExecMsg>,
 ) -> ExecStats {
-    let mut stats = ExecStats {
-        pinned: affinity::pin_current_thread(ctx.exec),
-        ..ExecStats::default()
-    };
-    // Busy time: prefer the per-thread CPU clock — on a host with fewer
-    // cores than executors a descheduled thread's *wall* clock keeps
-    // running while a sibling executes, so wall-minus-blocked would
-    // report every executor busy for the whole round. CPU time counts
-    // only this thread's own cycles on any host. Where the clock is
-    // unsupported, degrade to wall-minus-blocked.
-    let cpu_enter = thread_clock::now();
-    let t_enter = Instant::now();
-    let mut blocked_s = 0.0f64;
+    let mut stats = ExecStats::default();
     let mut outbox: Vec<Vec<(usize, Walker)>> = (0..ctx.k).map(|_| Vec::new()).collect();
     'round: loop {
         // Absorb queued arrivals without blocking.
@@ -1086,6 +737,7 @@ fn run_executor(
             match rx.try_recv() {
                 Ok(ExecMsg::Batch { shard, walkers }) => deliver(&ctx, &mut lanes, shard, walkers),
                 Ok(ExecMsg::Quiesce) => break 'round,
+                Ok(ExecMsg::Abort) => return stats,
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
@@ -1094,40 +746,36 @@ fn run_executor(
             worked |= sweep_lane(&ctx, lane, &mut outbox, &mut stats);
         }
         // Budget-ready local batches deliver between sweeps; remote ones
-        // already flushed inline.
+        // shipped inline.
         if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats, false) > 0 {
             worked = true;
         }
         if !worked {
             // Out of local work: force-flush stragglers, then block for
-            // arrivals (or the quiescence broadcast). Buffered completions
-            // ship first — the session thread may be waiting on exactly
-            // these walkers.
+            // arrivals (or the quiescence broadcast). Buffered paths ship
+            // first — the session thread may be waiting on exactly these
+            // walkers.
             if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats, true) > 0 {
                 continue;
             }
             ctx.flush_completions();
-            let t_block = Instant::now();
-            let msg = rx.recv();
-            blocked_s += t_block.elapsed().as_secs_f64();
-            match msg {
+            match rx.recv() {
                 Ok(ExecMsg::Batch { shard, walkers }) => deliver(&ctx, &mut lanes, shard, walkers),
                 Ok(ExecMsg::Quiesce) | Err(_) => break 'round,
+                Ok(ExecMsg::Abort) => return stats,
             }
         }
     }
     ctx.flush_completions();
-    stats.busy_s = match (cpu_enter, thread_clock::now()) {
-        (Some(t0), Some(t1)) => (t1 - t0).max(0.0),
-        _ => (t_enter.elapsed().as_secs_f64() - blocked_s).max(0.0),
-    };
     debug_assert!(
         outbox.iter().all(|b| b.is_empty()),
         "quiesce with live outbox"
     );
     debug_assert!(
-        lanes.iter().all(|l| l.runq.is_empty()),
-        "quiesce with live lane"
+        lanes
+            .iter()
+            .all(|l| l.runq.is_empty() || l.attempts >= ctx.budget),
+        "quiesce with a runnable walker"
     );
     stats
 }
@@ -1159,6 +807,8 @@ mod tests {
 
     #[test]
     fn hand_offs_charge_the_transfer_model_and_report_diagnostics() {
+        // The transfer model is the record-size accounting: every flush
+        // charges HANDOFF_RECORD_BYTES per walker plus its prev-row.
         let mut g = generators::rmat_dataset(8, 17);
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 64, 16, 3);
@@ -1177,11 +827,24 @@ mod tests {
             session.advance(100, &mut sink);
         }
         assert_eq!(sink.paths, 64);
-        let transfer = session.model_seconds().unwrap();
-        assert!(transfer > 0.0, "4-way rmat split must hand off walkers");
+        assert_eq!(
+            session.model_seconds(),
+            None,
+            "sharded sessions are measured"
+        );
         let diag = session.diagnostics().unwrap();
+        assert!(diag.contains("k=4"), "{diag}");
+        let field = |key: &str| -> u64 {
+            diag.split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{key} missing: {diag}"))
+        };
+        let hand_offs = field("hand-offs=");
+        assert!(hand_offs > 0, "4-way rmat split must hand off walkers");
+        assert!(field("flushes=") > 0, "{diag}");
         assert!(
-            diag.contains("k=4") && diag.contains("hand-offs="),
+            field("transfer-bytes=") >= hand_offs * HANDOFF_RECORD_BYTES,
             "{diag}"
         );
     }
@@ -1192,16 +855,8 @@ mod tests {
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 32, 10, 21);
         let nv = Node2Vec::paper_params();
-        let baseline = ShardedEngine::partition(
-            &g,
-            2,
-            ShardStrategy::Range,
-            &nv,
-            SamplerKind::InverseTransform,
-            11,
-        )
-        .run_collected(&qs);
-        for (k, flush) in [(2, 1), (3, 7), (4, 64)] {
+        let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::InverseTransform, 11).run(&qs);
+        for (k, flush) in [(1, 1), (2, 1), (3, 7), (4, 64)] {
             let engine = ShardedEngine::partition(
                 &g,
                 k,
@@ -1248,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_diagnostics_report_threads_and_compute_seconds() {
+    fn parallel_diagnostics_report_threads_and_the_partition_note() {
         let mut g = generators::rmat_dataset(8, 17);
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 64, 16, 3);
@@ -1270,12 +925,10 @@ mod tests {
         assert_eq!(sink.paths, 64);
         let diag = session.diagnostics().unwrap();
         assert!(
-            diag.contains("threads=2") && diag.contains("compute-s="),
+            diag.contains("threads=2") && diag.contains("pinned="),
             "{diag}"
         );
         assert!(diag.ends_with("partition built in memory"), "{diag}");
-        let model = session.model_seconds().unwrap();
-        assert!(model > 0.0, "compute time folds into model seconds");
     }
 
     #[test]
@@ -1300,5 +953,72 @@ mod tests {
         assert!(session.finished());
         let again = session.cancel(&mut lightrw_walker::CountingSink::default());
         assert_eq!(again.paths_completed, 0, "second cancel emits nothing");
+    }
+
+    /// Uniform weights until a shared call budget runs out, then a panic
+    /// — a fault injected inside a shard executor's step.
+    struct PanicsAfter {
+        calls: AtomicUsize,
+        limit: usize,
+    }
+
+    impl WalkApp for PanicsAfter {
+        fn name(&self) -> &'static str {
+            "PanicsAfter"
+        }
+        fn second_order(&self) -> bool {
+            false
+        }
+        fn weight(
+            &self,
+            _ctx: lightrw_walker::app::StepContext,
+            _nbr: VertexId,
+            _w: u32,
+            _rel: u8,
+            _pin: bool,
+        ) -> u32 {
+            let n = self.calls.fetch_add(1, Ordering::Relaxed);
+            assert!(n < self.limit, "injected weight fault");
+            1
+        }
+    }
+
+    #[test]
+    fn executor_panic_reaches_the_caller_instead_of_hanging() {
+        // A panic inside one executor must not strand its peers (which
+        // hold senders to each other) or the session thread: the advance
+        // re-raises it, with one executor and with one per shard. Each
+        // run happens on a watchdog thread joined with a timeout.
+        for threads in [1usize, 0] {
+            let (tx, rx) = channel();
+            std::thread::spawn(move || {
+                let g = generators::rmat_dataset(8, 17);
+                let qs = QuerySet::n_queries(&g, 256, 40, 3);
+                let app = PanicsAfter {
+                    calls: AtomicUsize::new(0),
+                    limit: 2_000,
+                };
+                let engine = ShardedEngine::partition(
+                    &g,
+                    3,
+                    ShardStrategy::Range,
+                    &app,
+                    SamplerKind::InverseTransform,
+                    7,
+                )
+                .with_shard_threads(threads);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.run_collected(&qs)
+                }));
+                let _ = tx.send(outcome.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("threads={threads}: session hung after a panic"));
+            assert!(
+                panicked,
+                "threads={threads}: the fault must reach the caller"
+            );
+        }
     }
 }

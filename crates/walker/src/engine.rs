@@ -16,6 +16,9 @@
 //! Batching never changes a sampled walk: a session consumes the RNG in
 //! exactly the order the engine's monolithic `run` does, whatever
 //! `max_steps` schedule drives it (`tests/engine_agreement.rs` pins this).
+//! The CPU engines get this from per-walker streams: query *i* always
+//! walks on [`crate::query_stream`]`(kind, seed, i)`, whichever engine,
+//! lane or batch steps it.
 //!
 //! ```
 //! use lightrw_graph::GraphBuilder;
@@ -43,7 +46,7 @@ use crate::hotpath::HotStepper;
 use crate::path::WalkResults;
 use crate::program::{StepOutcome, WalkProgram, WalkState};
 use crate::query::{Query, QuerySet};
-use crate::reference::ReferenceEngine;
+use crate::reference::{query_stream, ReferenceEngine};
 use lightrw_graph::VertexId;
 
 /// A consumer of completed walk paths.
@@ -312,9 +315,9 @@ impl InOrderEmitter {
 // --- Reference engine session -------------------------------------------
 
 /// Streaming session of the sequential [`ReferenceEngine`]: one query in
-/// flight at a time, paths emitted the moment they complete — the fully
-/// incremental end of the session spectrum (a single reusable path
-/// buffer, no corpus materialization).
+/// flight at a time, each on its own [`query_stream`], paths emitted the
+/// moment they complete — the fully incremental end of the session
+/// spectrum (a single reusable path buffer, no corpus materialization).
 struct ReferenceSession<'s> {
     engine: &'s ReferenceEngine<'s>,
     stepper: HotStepper,
@@ -333,24 +336,30 @@ impl<'s> ReferenceSession<'s> {
     fn new(engine: &'s ReferenceEngine<'s>, queries: &QuerySet) -> Self {
         let mut stepper = HotStepper::new(engine.app(), engine.sampler(), engine.seed());
         stepper.reserve(engine.graph().max_degree() as usize);
-        let program = queries.program().clone();
-        let queries = queries.queries().to_vec();
-        let mut path = Vec::new();
-        let mut st = WalkState::start(0);
-        if let Some(q) = queries.first() {
-            path.reserve(q.length as usize + 1);
-            path.push(q.start);
-            st = WalkState::start(q.start);
-        }
-        Self {
+        let mut session = Self {
             engine,
             stepper,
-            program,
-            queries,
+            program: queries.program().clone(),
+            queries: queries.queries().to_vec(),
             qi: 0,
-            path,
-            st,
+            path: Vec::new(),
+            st: WalkState::start(0),
             steps_done: 0,
+        };
+        session.arm_current();
+        session
+    }
+
+    /// Arm query `qi` (if any): its start vertex, program state and
+    /// [`query_stream`].
+    fn arm_current(&mut self) {
+        if let Some(q) = self.queries.get(self.qi) {
+            self.path.reserve(q.length as usize + 1);
+            self.path.push(q.start);
+            self.st = WalkState::start(q.start);
+            let e = self.engine;
+            self.stepper
+                .import_stream(&query_stream(e.sampler(), e.seed(), self.qi));
         }
     }
 
@@ -362,10 +371,7 @@ impl<'s> ReferenceSession<'s> {
         sink.emit(self.qi as u32, &self.path);
         self.qi += 1;
         self.path.clear();
-        if let Some(q) = self.queries.get(self.qi) {
-            self.path.push(q.start);
-            self.st = WalkState::start(q.start);
-        }
+        self.arm_current();
     }
 }
 

@@ -235,10 +235,9 @@ pub fn prefetch_row(g: &Graph, v: VertexId) {
 ///
 /// The ring is pure scheduling state — walker data stays wherever the
 /// engine keeps it (SoA arrays in the CPU lanes); slots index into those
-/// arrays. The visit order is exactly the classic cursor + `swap_remove`
-/// sweep the engines used walker-at-a-time, so a driver upgrade never
-/// changes which walker steps next — the bit-identity regression in
-/// tests/engine_agreement.rs pins this.
+/// arrays. The visit order is the classic cursor + `swap_remove` sweep;
+/// since every walker carries its own RNG stream, the order decides only
+/// memory behaviour, never a sampled walk.
 #[derive(Debug, Clone)]
 pub struct WalkerRing {
     /// Slots of walkers still walking.
@@ -323,6 +322,7 @@ impl WalkerRing {
 mod tests {
     use super::*;
     use crate::app::{MetaPath, Node2Vec, StaticWeighted, Uniform};
+    use crate::reference::query_stream;
     use lightrw_graph::generators;
 
     const KINDS: [SamplerKind; 5] = [
@@ -528,7 +528,10 @@ mod tests {
                 donor.step(&g, &StaticWeighted, ctx(v % g.num_vertices() as u32));
             }
             let snap = donor.export_stream();
-            let mut fresh = HotStepper::new(&StaticWeighted, kind, 999);
+            // Same kind and engine seed, but a different stream position.
+            let mut fresh = HotStepper::new(&StaticWeighted, kind, 11);
+            fresh.import_stream(&query_stream(kind, 11, 7));
+            fresh.step(&g, &StaticWeighted, ctx(1));
             fresh.import_stream(&snap);
             for v in 0..40u32 {
                 let c = ctx(v % g.num_vertices() as u32);
@@ -537,6 +540,70 @@ mod tests {
                     fresh.step(&g, &StaticWeighted, c),
                     "{kind:?} diverged after import"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_walkers_draw_what_they_draw_alone() {
+        // The per-walker stream contract: one stepper switching between
+        // two walkers' streams (import before each step, export after)
+        // must give each walker exactly the draws it gets when a stepper
+        // walks it alone — for every sampler kind, on both the masked
+        // second-order branch and the first-order fast paths.
+        let g = generators::rmat_dataset(8, 24);
+        let nv = Node2Vec::paper_params();
+        let apps: [&dyn WalkApp; 2] = [&StaticWeighted, &nv];
+        let mut all = KINDS.to_vec();
+        all.push(SamplerKind::Rejection);
+        let starts = [3 as VertexId, 40];
+        // One step from `ctx`, restarting at `start` on a dead end.
+        let advance = |s: &mut HotStepper, app: &dyn WalkApp, ctx: &mut StepContext, start| {
+            let next = s.step(&g, app, *ctx);
+            *ctx = match next {
+                Some(v) => StepContext {
+                    step: ctx.step + 1,
+                    cur: v,
+                    prev: Some(ctx.cur),
+                },
+                None => StepContext {
+                    step: 0,
+                    cur: start,
+                    prev: None,
+                },
+            };
+            next
+        };
+        let begin = |start| StepContext {
+            step: 0,
+            cur: start,
+            prev: None,
+        };
+        for app in apps {
+            for kind in all.iter().copied() {
+                let solo: Vec<Vec<Option<VertexId>>> = (0..2)
+                    .map(|w| {
+                        let mut s = HotStepper::new(app, kind, 5);
+                        s.import_stream(&query_stream(kind, 5, w));
+                        let mut ctx = begin(starts[w]);
+                        (0..30)
+                            .map(|_| advance(&mut s, app, &mut ctx, starts[w]))
+                            .collect()
+                    })
+                    .collect();
+                let mut shared = HotStepper::new(app, kind, 5);
+                let mut streams = [query_stream(kind, 5, 0), query_stream(kind, 5, 1)];
+                let mut ctxs = [begin(starts[0]), begin(starts[1])];
+                let mut drawn: [Vec<Option<VertexId>>; 2] = [Vec::new(), Vec::new()];
+                for turn in 0..60 {
+                    let w = turn % 2;
+                    shared.import_stream(&streams[w]);
+                    drawn[w].push(advance(&mut shared, app, &mut ctxs[w], starts[w]));
+                    streams[w] = shared.export_stream();
+                }
+                assert!(solo.iter().all(|d| d.iter().any(Option::is_some)));
+                assert_eq!(drawn[0], solo[0], "{} {kind:?} walker 0", app.name());
+                assert_eq!(drawn[1], solo[1], "{} {kind:?} walker 1", app.name());
             }
         }
     }

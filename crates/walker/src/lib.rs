@@ -91,7 +91,7 @@ pub use membership::NeighborBitset;
 pub use path::WalkResults;
 pub use program::{Control, DeadEndPolicy, StepOutcome, WalkProgram, WalkState};
 pub use query::{Query, QuerySet};
-pub use reference::{AnySampler, ReferenceEngine, SamplerKind, SamplerStream};
+pub use reference::{query_stream, AnySampler, ReferenceEngine, SamplerKind, SamplerStream};
 pub use service::{
     JobId, JobSpec, JobStatus, ServiceConfig, ServiceStats, TenantId, TenantStats, WalkService,
 };

@@ -4,7 +4,8 @@
 //! samplers) / Algorithm 3.1 (reservoir samplers), generic over the
 //! sampling method. Both the CPU baseline (`lightrw-baseline`) and the
 //! accelerator model (`lightrw-hwsim`) are tested for distributional
-//! agreement against this engine.
+//! agreement against this engine; the CPU and sharded engines share its
+//! per-walker RNG streams ([`query_stream`]) and match it walk for walk.
 
 use crate::app::{WalkApp, FX_FRAC_BITS};
 use crate::hotpath::HotStepper;
@@ -12,7 +13,8 @@ use crate::path::WalkResults;
 use crate::program::{StepOutcome, WalkState};
 use crate::query::QuerySet;
 use lightrw_graph::Graph;
-use lightrw_rng::{Rng, SplitMix64, StreamBank};
+use lightrw_rng::splitmix::{mix64, GOLDEN_GAMMA};
+use lightrw_rng::{Mcg64, Rng, SplitMix64, StreamBank};
 use lightrw_sampling::{reservoir, AliasScratch, ParallelWrs};
 
 /// Which weighted sampling method the engine uses per step.
@@ -72,24 +74,37 @@ enum SamplerState {
     Parallel(ParallelWrs),
 }
 
-/// A serialized sampler stream position — the RNG half of a shard
-/// hand-off record (DESIGN.md §11).
+/// A serialized sampler stream position — the RNG state a walker carries
+/// between visits (DESIGN.md §5, §11).
 ///
-/// `seed` names the stream (decorrelator lanes and table scratch are
-/// pure functions of it); `state`/`rows` pin the position inside it.
-/// Table kinds carry the raw SplitMix64 Weyl state in `state` (`rows`
-/// unused); bank kinds carry the shared MCG state plus the row counter.
-/// [`AnySampler::import_stream`] restores the exact stream on any
-/// sampler of the same [`SamplerKind`], reseeding first if the receiving
-/// sampler was built from a different seed.
+/// Every engine builds its samplers from the engine seed, which fixes the
+/// seed-derived parts (the bank kinds' decorrelator lanes); a stream is a
+/// start position on that sampler. Table kinds carry the raw SplitMix64
+/// Weyl state in `state` (`rows` unused); bank kinds carry the shared MCG
+/// state plus the row counter. [`AnySampler::import_stream`] resumes the
+/// exact stream on any sampler of the same [`SamplerKind`] and engine
+/// seed, and [`query_stream`] names each query's starting position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerStream {
-    /// The construction seed of the stream.
-    pub seed: u64,
     /// Raw generator state (SplitMix64 Weyl counter or shared MCG state).
     pub state: u64,
     /// Rows generated (bank kinds only; 0 for table kinds).
     pub rows: u64,
+}
+
+/// Query `query`'s sampler stream under engine seed `seed`: a start
+/// position on the engine-seeded sampler, a pure function of
+/// (`seed`, `query`). Every CPU engine imports it before the walker's
+/// first step and carries the exported position from visit to visit,
+/// so a walk never depends on which lane, shard, thread or advance
+/// schedule steps it (DESIGN.md §5).
+pub fn query_stream(kind: SamplerKind, seed: u64, query: usize) -> SamplerStream {
+    let start = mix64(seed ^ (query as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+    let state = match kind {
+        SamplerKind::SequentialWrs | SamplerKind::ParallelWrs { .. } => Mcg64::new(start).state(),
+        _ => start,
+    };
+    SamplerStream { state, rows: 0 }
 }
 
 /// A ready-to-use weighted sampler of any [`SamplerKind`]: builds per-step
@@ -105,8 +120,6 @@ pub struct SamplerStream {
 /// changing a single sampled walk.
 pub struct AnySampler {
     state: SamplerState,
-    kind: SamplerKind,
-    seed: u64,
     /// Inverse-transform cumulative scratch, reused across steps.
     cum: Vec<u64>,
     /// Vose alias build scratch, reused across steps.
@@ -116,55 +129,41 @@ pub struct AnySampler {
 impl AnySampler {
     /// Instantiate a sampler of the given kind.
     pub fn new(kind: SamplerKind, seed: u64) -> Self {
-        Self {
-            state: Self::build_state(kind, seed),
-            kind,
-            seed,
-            cum: Vec::new(),
-            alias: AliasScratch::new(),
-        }
-    }
-
-    fn build_state(kind: SamplerKind, seed: u64) -> SamplerState {
-        match kind {
+        let state = match kind {
             SamplerKind::InverseTransform
             | SamplerKind::Alias
             | SamplerKind::Rejection
             | SamplerKind::AExpJ => SamplerState::Table(SplitMix64::new(seed), kind),
             SamplerKind::SequentialWrs => SamplerState::Sequential(StreamBank::new(seed, 1)),
             SamplerKind::ParallelWrs { k } => SamplerState::Parallel(ParallelWrs::new(seed, k)),
+        };
+        Self {
+            state,
+            cum: Vec::new(),
+            alias: AliasScratch::new(),
         }
     }
 
-    /// Capture this sampler's stream position for hand-off serialization
-    /// (DESIGN.md §11). The capture is a plain-data triple; restoring it
-    /// with [`AnySampler::import_stream`] on any sampler of the same kind
-    /// resumes the stream exactly.
+    /// Capture this sampler's stream position (DESIGN.md §11). The
+    /// capture is a plain-data pair; restoring it with
+    /// [`AnySampler::import_stream`] on any sampler of the same kind and
+    /// seed resumes the stream exactly.
+    #[inline]
     pub fn export_stream(&self) -> SamplerStream {
         let (state, rows) = match &self.state {
             SamplerState::Table(rng, _) => (rng.state(), 0),
             SamplerState::Sequential(bank) => bank.stream_state(),
             SamplerState::Parallel(wrs) => wrs.stream_state(),
         };
-        SamplerStream {
-            seed: self.seed,
-            state,
-            rows,
-        }
+        SamplerStream { state, rows }
     }
 
-    /// Resume a stream captured by [`AnySampler::export_stream`]. If the
-    /// capture came from a different construction seed, the sampler is
-    /// reseeded first (bank kinds rebuild their seed-derived decorrelator
-    /// lanes), then the raw position is installed — so a walker's stream
-    /// continues bit-exactly on whichever shard's sampler it lands on.
+    /// Resume a stream captured by [`AnySampler::export_stream`] or named
+    /// by [`query_stream`]. Only the raw position moves: the seed-derived
+    /// state and the table scratch stay, so switching walkers never
+    /// rebuilds or allocates.
+    #[inline]
     pub fn import_stream(&mut self, stream: &SamplerStream) {
-        if stream.seed != self.seed {
-            // Rebuild the generator state only; table/alias scratch is
-            // seed-independent and keeps its capacity.
-            self.state = Self::build_state(self.kind, stream.seed);
-            self.seed = stream.seed;
-        }
         match &mut self.state {
             SamplerState::Table(rng, _) => *rng = SplitMix64::new(stream.state),
             SamplerState::Sequential(bank) => bank.restore_stream(stream.state, stream.rows),
@@ -413,12 +412,13 @@ impl<'g> ReferenceEngine<'g> {
     }
 
     /// Execute all queries sequentially, returning their paths in query-id
-    /// order. Each step attempt runs the query set's
-    /// [`crate::program::WalkProgram`] state machine — control decision
-    /// (restart draw, target halt), then one fused weight-calculation +
-    /// sampling pass through [`HotStepper`] — so fixed-length programs
-    /// reproduce Algorithm 2.1 exactly (dead ends truncate, as in its
-    /// `is_end`) and richer programs share the identical hot path.
+    /// order. Each query walks on its own [`query_stream`]; each step
+    /// attempt runs the query set's [`crate::program::WalkProgram`] state
+    /// machine — control decision (restart draw, target halt), then one
+    /// fused weight-calculation + sampling pass through [`HotStepper`] —
+    /// so fixed-length programs reproduce Algorithm 2.1 exactly (dead ends
+    /// truncate, as in its `is_end`) and richer programs share the
+    /// identical hot path.
     pub fn run(&self, queries: &QuerySet) -> WalkResults {
         let mut results = WalkResults::with_capacity(
             queries.len(),
@@ -431,7 +431,8 @@ impl<'g> ReferenceEngine<'g> {
         stepper.reserve(self.graph.max_degree() as usize);
         let program = queries.program();
 
-        for q in queries.queries() {
+        for (qi, q) in queries.queries().iter().enumerate() {
+            stepper.import_stream(&query_stream(self.sampler, self.seed, qi));
             let mut st = WalkState::start(q.start);
             results.push_vertex(q.start);
             while st.taken < q.length {

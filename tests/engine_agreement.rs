@@ -8,7 +8,10 @@
 //! the batching contract: for every app × sampler kind, driving a
 //! session through `&dyn WalkEngine` with a *randomized* `max_steps`
 //! schedule reproduces the monolithic `run` bit for bit — the
-//! RNG-identity contract of DESIGN.md §5 survives batching.
+//! RNG-identity contract of DESIGN.md §5 survives batching. The CPU
+//! engines go further: every walker carries its own RNG stream, so the
+//! CPU and sharded engines equal the reference engine walk for walk at
+//! every thread, shard and flush setting.
 
 use lightrw::prelude::*;
 use lightrw::rng::stats::{chi_square_counts, chi_square_crit_999};
@@ -190,12 +193,13 @@ fn randomized_batches_replay_monolithic_walks_for_every_app_and_sampler() {
 }
 
 /// The pre-lane CPU engine's inner loop, inlined as an oracle: one
-/// `HotStepper` on chunk 0's RNG stream (`mix64(seed ^ 0·φ)` =
-/// `mix64(seed)`) driving a walker-at-a-time cursor + `swap_remove`
-/// sweep. This is the sequential semantics the step-centric lanes must
-/// replay exactly — kept here, independent of `WorkerLane`, so a lane
-/// regression (ring order, seed derivation, prefetch gone wrong) cannot
-/// hide by changing oracle and engine in lockstep.
+/// `HotStepper` on the engine seed driving a walker-at-a-time cursor +
+/// `swap_remove` sweep, each walker resuming its own [`query_stream`]
+/// before its step and saving it after. This is the sequential semantics
+/// the step-centric lanes must replay exactly — kept here, independent
+/// of `WorkerLane`, so a lane regression (ring order, stream keying,
+/// prefetch gone wrong) cannot hide by changing oracle and engine in
+/// lockstep.
 fn sequential_oracle(
     g: &Graph,
     app: &dyn WalkApp,
@@ -203,13 +207,16 @@ fn sequential_oracle(
     seed: u64,
     qs: &QuerySet,
 ) -> WalkResults {
-    use lightrw::rng::splitmix::mix64;
     use lightrw::walker::program::{StepOutcome, WalkState};
+    use lightrw::walker::query_stream;
     let program = qs.program();
     let queries = qs.queries();
-    let mut stepper = HotStepper::new(app, kind, mix64(seed));
+    let mut stepper = HotStepper::new(app, kind, seed);
     stepper.reserve(g.max_degree() as usize);
 
+    let mut stream: Vec<_> = (0..queries.len())
+        .map(|qi| query_stream(kind, seed, qi))
+        .collect();
     let mut cur: Vec<u32> = queries.iter().map(|q| q.start).collect();
     let mut prev: Vec<Option<u32>> = vec![None; queries.len()];
     let mut taken = vec![0u32; queries.len()];
@@ -230,7 +237,9 @@ fn sequential_oracle(
             taken: taken[qi],
             seg: seg[qi],
         };
+        stepper.import_stream(&stream[qi]);
         let outcome = program.step_attempt(g, app, &mut stepper, &q, &mut st);
+        stream[qi] = stepper.export_stream();
         cur[qi] = st.cur;
         prev[qi] = st.prev;
         taken[qi] = st.taken;
@@ -259,7 +268,7 @@ fn sequential_oracle(
 fn single_lane_engine_replays_the_sequential_oracle_for_every_app_and_sampler() {
     // The lane refactor's regression pin: with threads = 1, the
     // interleaved Gather–Move–Update lane must be bit-identical to the
-    // pre-refactor sequential walk loop for every app × sampler —
+    // walker-at-a-time sequential loop for every app × sampler —
     // including Rejection, whose RNG stream differs from inverse
     // transform only inside a step, never across walkers.
     let g = generators::rmat_dataset(8, 14);
@@ -278,6 +287,69 @@ fn single_lane_engine_replays_the_sequential_oracle_for_every_app_and_sampler() 
             };
             let (lanes, _) = CpuEngine::new(&g, app, cfg).run(&qs);
             assert_eq!(oracle, lanes, "{} {:?}", app.name(), kind);
+        }
+    }
+}
+
+#[test]
+fn every_cpu_engine_matches_the_reference_walk_for_walk() {
+    // The per-walker stream contract (DESIGN.md §5): query i walks on a
+    // stream that is a pure function of (engine seed, i), so the CPU
+    // engine at any thread count and the sharded engine at any shard
+    // count, executor count, flush budget and partition strategy sample
+    // the reference engine's walks exactly — under randomized advance
+    // budgets, for every app × sampler kind. Rejection needs the prefix
+    // cache on every side; the shard sub-CSRs inherit it.
+    use lightrw::graph::{partition_graph, ShardStrategy};
+    let mut g = generators::rmat_dataset(8, 14);
+    g.build_prefix_cache();
+    let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
+    let nv = Node2Vec::paper_params();
+    let apps: [&dyn WalkApp; 4] = [&Uniform, &StaticWeighted, &mp, &nv];
+    let qs = QuerySet::per_nonisolated_vertex(&g, 6, 4);
+    let partitions: Vec<_> = [ShardStrategy::Range, ShardStrategy::Walk]
+        .into_iter()
+        .flat_map(|strategy| [1, 2, 3].map(|k| partition_graph(&g, k, strategy)))
+        .collect();
+    let seed = 21;
+    let mut batch_rng = SplitMix64::new(0x5EED);
+
+    for app in apps {
+        for kind in ALL_SAMPLERS {
+            let label = format!("{} {}", app.name(), kind.name());
+            let reference = ReferenceEngine::new(&g, app, kind, seed);
+            let expected = reference.run(&qs);
+            let batched = run_batched(&reference, &qs, &mut batch_rng, 64);
+            assert_eq!(batched, expected, "reference session, {label}");
+
+            for threads in [1, 2, 3, 8] {
+                let cfg = BaselineConfig {
+                    threads,
+                    sampler: kind,
+                    seed,
+                };
+                let cpu = CpuEngine::new(&g, app, cfg);
+                let got = run_batched(&cpu, &qs, &mut batch_rng, 64);
+                assert_eq!(got, expected, "cpu threads={threads}, {label}");
+            }
+
+            for sharded in &partitions {
+                for shard_threads in [1, 2, 0] {
+                    for flush in [1, 64] {
+                        let engine = ShardedEngine::new(sharded.clone(), app, kind, seed)
+                            .with_shard_threads(shard_threads)
+                            .with_flush_budget(flush);
+                        let got = run_batched(&engine, &qs, &mut batch_rng, 64);
+                        assert_eq!(
+                            got,
+                            expected,
+                            "sharded k={} {} shard_threads={shard_threads} flush={flush}, {label}",
+                            sharded.k(),
+                            sharded.strategy.name()
+                        );
+                    }
+                }
+            }
         }
     }
 }

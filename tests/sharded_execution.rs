@@ -1,17 +1,19 @@
 //! Integration pins for the sharded execution path (DESIGN.md §11).
 //!
 //! The unit suite in `lightrw::sharded` pins the engine's internal
-//! invariants; this suite pins the *cross-layer* contracts:
+//! invariants, and `tests/engine_agreement.rs` pins that every shard
+//! count, executor count and flush budget samples the reference
+//! engine's walks. This suite pins the remaining cross-layer contracts:
 //!
 //! - **k = 1 bit-identity**: a single-shard `ShardedEngine` reproduces
 //!   the `ReferenceEngine` walk for walk, for every app × sampler kind —
 //!   the sharded path adds no sampling of its own.
-//! - **Partition independence**: shard count, partition strategy and
+//! - **Partition independence**: partition strategy, shard count and
 //!   flush budget never change sampled walks, because every walker owns
 //!   a private RNG stream that travels with it across hand-offs.
 //! - **Schedule independence**: parallel pinned executors
-//!   (`with_shard_threads`) reproduce the sequential interleave bit for
-//!   bit for every app × sampler kind, whatever the thread count.
+//!   (`with_shard_threads`) reproduce the one-executor inline run bit
+//!   for bit for every app × sampler kind, whatever the thread count.
 //! - **Packed round-trip**: a partition loaded from an `LRWPAK01` file
 //!   (plain or varint-compressed columns) drives the engine to the same
 //!   walks as an in-memory partition of the same graph.
@@ -64,19 +66,14 @@ fn single_shard_is_bit_identical_to_the_reference_for_every_app_and_sampler() {
 fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
     // Per-walker RNG streams make the sampled walks independent of
     // *where* each vertex lives and *when* migrants flush — pin it
-    // across both partition strategies, several shard counts and flush
-    // budgets, for a second-order app (hand-offs carry prev-row
-    // payloads). The baseline is k = 2: k = 1 is the sequential fast
-    // path with the reference engine's stream assignment (pinned by the
-    // bit-identity test above), so the migrating-walker contract starts
-    // at two shards.
+    // across all three partition strategies, several shard counts and
+    // flush budgets, for a second-order app (hand-offs carry prev-row
+    // payloads), against the unsharded reference engine.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let nv = Node2Vec::paper_params();
     let qs = QuerySet::n_queries(&g, 48, 12, 5);
-    let baseline =
-        ShardedEngine::partition(&g, 2, ShardStrategy::Range, &nv, SamplerKind::Alias, 13)
-            .run_collected(&qs);
+    let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::Alias, 13).run(&qs);
     for strategy in [
         ShardStrategy::Range,
         ShardStrategy::Fennel,
@@ -98,13 +95,14 @@ fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
 
 #[test]
 fn parallel_executors_are_bit_identical_to_the_sequential_interleave() {
-    // The tentpole contract: real per-shard executor threads may retire
-    // walkers and deliver hand-off batches in any order, yet the sampled
-    // walks must equal the single-thread interleave exactly — for every
-    // app × sampler kind, because each walker's RNG stream is a pure
-    // function of its query, not of the schedule. threads=2 folds three
-    // shards onto two executors (one runs two lanes); threads=0 pins one
-    // executor per shard.
+    // Real per-shard executor threads may retire walkers and deliver
+    // hand-off batches in any order, yet the sampled walks must equal
+    // the one-executor run (`shard_threads = 1`, every lane interleaved
+    // on the calling thread) exactly — for every app × sampler kind,
+    // because each walker's RNG stream is a pure function of its query,
+    // not of the schedule. threads=2 folds three shards onto two
+    // executors (one runs two lanes); threads=0 pins one executor per
+    // shard.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
@@ -115,6 +113,7 @@ fn parallel_executors_are_bit_identical_to_the_sequential_interleave() {
     for app in apps {
         for kind in ALL_SAMPLERS {
             let sequential = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21)
+                .with_shard_threads(1)
                 .run_collected(&qs);
             for threads in [2, 0] {
                 let engine = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21)
